@@ -1,8 +1,7 @@
 // Suite-throughput benchmark for the engine layer: how many coverage
 // suites per second the `engine::Executor` sustains at different worker
-// counts, plus the intra-suite sharding comparison — shared_manager
-// (verify once, estimate on K threads over one manager) against
-// replicated (K independent sessions, each re-verifying).
+// counts, plus intra-suite sharding (verify once, estimate on K threads
+// over one manager) under both shared-table modes.
 // `bench/run_bench.sh` runs it over the example-model manifest and
 // writes BENCH_engine.json so the engine layer has a perf trajectory PR
 // over PR (the BDD layer has had one since PR 1).
@@ -20,12 +19,10 @@
 // Each configuration runs `N` copies of every model's default suite
 // through one executor and measures wall time; the suites are
 // independent jobs with worker-local BDD managers, so the jobs=K
-// configurations measure the real fan-out path, not a simulation. The
-// sharding entries also record summed verify passes: the work-saved
-// story (shared_manager verifies each suite once; replicated K times)
-// is visible even on hardware where wall-clock parallelism is not —
-// the emitted note flags single-core containers, where jobs=4 can read
-// *slower* than jobs=2 on pure scheduling overhead.
+// configurations measure the real fan-out path, not a simulation. Every
+// entry also records summed verify passes (one per suite). The emitted
+// note flags single-core containers, where jobs=4 can read *slower*
+// than jobs=2 on pure scheduling overhead.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -60,10 +57,8 @@ struct Config {
   std::vector<std::string> models;
 };
 
-/// Ring size of the image-strategy comparison. 16 stations = 32 state
-/// bits, where the conjoined monolithic relation already pays several
-/// times the partitioned cost (see BM_ImageStrategy in bdd_microbench
-/// for the per-size scaling).
+/// Ring size of the token-ring suites. 16 stations = 32 state bits (see
+/// BM_Image in bdd_microbench for the per-size scaling).
 constexpr unsigned kRingCells = 16;
 
 /// The deterministic benchmark names a configuration produces, in
@@ -80,14 +75,11 @@ std::vector<std::string> benchmark_names(const Config& config) {
                              "/jobs:" + std::to_string(shard_workers);
   names.push_back("sharded_suite/mode:shared_manager/table:lockfree" + suffix);
   names.push_back("sharded_suite/mode:shared_manager/table:striped" + suffix);
-  names.push_back("sharded_suite/mode:replicated" + suffix);
   const std::string jobs_suffix = "/jobs:" + std::to_string(shard_workers);
   names.push_back("server_loopback/cache:off" + jobs_suffix);
   names.push_back("server_loopback/cache:on" + jobs_suffix);
-  for (const char* strategy : {"monolithic", "partitioned", "chaining"}) {
-    names.push_back(std::string("image_strategy/") + strategy +
-                    "/cells:" + std::to_string(kRingCells) + jobs_suffix);
-  }
+  names.push_back("token_ring/cells:" + std::to_string(kRingCells) +
+                  jobs_suffix);
   // In-operation parallelism always runs at jobs:1 so the row isolates
   // the work-stealing parallel apply from suite-level fan-out.
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
@@ -126,24 +118,12 @@ struct Measurement {
   std::size_t verify_passes = 0;  ///< Summed over results (0 = not tracked).
 };
 
-Measurement measure(const Config& config, std::size_t workers,
-                    std::size_t shards, engine::ShardMode mode,
-                    std::string name,
-                    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
-  std::vector<engine::CoverageRequest> requests;
-  requests.reserve(config.models.size() * config.repeat);
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    for (const std::string& path : config.models) {
-      engine::CoverageRequest req;
-      req.model_path = path;
-      req.uncovered_limit = 0;  // Keep the measurement estimation-pure.
-      req.shards = shards;
-      req.shard_mode = mode;
-      req.table_mode = table_mode;
-      requests.push_back(std::move(req));
-    }
-  }
-
+/// Runs `requests` through a `workers`-thread executor and times the
+/// whole batch. Any job error aborts the benchmark, and so does a failed
+/// property when `must_hold` is set.
+Measurement run_batch(std::size_t workers,
+                      std::vector<engine::CoverageRequest> requests,
+                      std::string name, bool must_hold = false) {
   engine::Executor executor{engine::ExecutorOptions{workers, nullptr}};
   const auto t0 = Clock::now();
   const std::vector<engine::SuiteResult> results =
@@ -153,60 +133,8 @@ Measurement measure(const Config& config, std::size_t workers,
 
   Measurement m;
   for (const engine::SuiteResult& r : results) {
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "error: %s\n", r.error.c_str());
-      std::exit(1);
-    }
-    m.verify_passes += r.verify.passes;
-  }
-
-  m.name = std::move(name);
-  m.jobs = workers;
-  m.suites = results.size();
-  m.wall_ms = wall_ms;
-  m.suites_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(results.size()) * 1000.0 / wall_ms
-                    : 0.0;
-  return m;
-}
-
-/// The image-strategy configuration: `repeat` copies of the token-ring
-/// suite (in-memory model, so no .cov file is involved) through the
-/// executor, everything identical except `CoverageOptions::image_strategy`.
-/// Results are byte-identical across strategies — the ratio is purely
-/// the image engine.
-Measurement measure_image_strategy(const Config& config, std::size_t workers,
-                                   image::ImageStrategy strategy,
-                                   std::string name) {
-  const circuits::TokenRingSpec spec{kRingCells, 2};
-  std::vector<engine::CoverageRequest> requests;
-  requests.reserve(config.repeat);
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    engine::CoverageRequest req;
-    req.model = circuits::make_token_ring(spec);
-    for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
-      engine::PropertySpec prop;
-      prop.formula = f;
-      prop.observe = {"tok1"};
-      req.properties.push_back(std::move(prop));
-    }
-    req.signals = {"tok1"};
-    req.uncovered_limit = 0;
-    req.options.image_strategy = strategy;
-    requests.push_back(std::move(req));
-  }
-
-  engine::Executor executor{engine::ExecutorOptions{workers, nullptr}};
-  const auto t0 = Clock::now();
-  const std::vector<engine::SuiteResult> results =
-      executor.run_all(std::move(requests));
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-  Measurement m;
-  for (const engine::SuiteResult& r : results) {
-    if (!r.error.empty() || r.failures > 0) {
-      std::fprintf(stderr, "error: ring suite failed (%s)\n",
+    if (!r.error.empty() || (must_hold && r.failures > 0)) {
+      std::fprintf(stderr, "error: %s failed (%s)\n", name.c_str(),
                    r.error.c_str());
       std::exit(1);
     }
@@ -222,8 +150,54 @@ Measurement measure_image_strategy(const Config& config, std::size_t workers,
   return m;
 }
 
-/// The in-operation parallelism configuration: the same token-ring
-/// suite at jobs=1, everything identical except
+Measurement measure(const Config& config, std::size_t workers,
+                    std::size_t shards, std::string name,
+                    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
+  std::vector<engine::CoverageRequest> requests;
+  requests.reserve(config.models.size() * config.repeat);
+  for (std::size_t r = 0; r < config.repeat; ++r) {
+    for (const std::string& path : config.models) {
+      engine::CoverageRequest req;
+      req.model_path = path;
+      req.uncovered_limit = 0;  // Keep the measurement estimation-pure.
+      req.shards = shards;
+      req.table_mode = table_mode;
+      requests.push_back(std::move(req));
+    }
+  }
+  return run_batch(workers, std::move(requests), std::move(name));
+}
+
+/// `repeat` copies of a token-ring request over the `tok1` row
+/// (in-memory model, so no .cov file is involved), carrying the ring's
+/// safety suite when `safety_suite` is set.
+std::vector<engine::CoverageRequest> ring_requests(const Config& config,
+                                                   bool safety_suite) {
+  const circuits::TokenRingSpec spec{kRingCells, 2};
+  std::vector<engine::CoverageRequest> requests(config.repeat);
+  for (engine::CoverageRequest& req : requests) {
+    req.model = circuits::make_token_ring(spec);
+    if (safety_suite) {
+      for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
+        req.properties.push_back(engine::PropertySpec::of(f, {"tok1"}));
+      }
+    }
+    req.signals = {"tok1"};
+    req.uncovered_limit = 0;
+  }
+  return requests;
+}
+
+/// The token-ring configuration: the ring's safety suite through the
+/// executor — an image-bound workload.
+Measurement measure_token_ring(const Config& config, std::size_t workers,
+                               std::string name) {
+  return run_batch(workers, ring_requests(config, true), std::move(name),
+                   /*must_hold=*/true);
+}
+
+/// The in-operation parallelism configuration: the token-ring request
+/// at jobs=1, everything identical except
 /// `CoverageOptions::parallel_apply` — so the rows isolate the
 /// work-stealing fork/join inside each BDD operation from suite-level
 /// fan-out. workers:1 runs the fork/join machinery with no helper
@@ -232,41 +206,11 @@ Measurement measure_image_strategy(const Config& config, std::size_t workers,
 /// schedule cost / speedup.
 Measurement measure_parallel_apply(const Config& config, std::size_t workers,
                                    std::string name) {
-  const circuits::TokenRingSpec spec{kRingCells, 2};
-  std::vector<engine::CoverageRequest> requests;
-  requests.reserve(config.repeat);
-  for (std::size_t r = 0; r < config.repeat; ++r) {
-    engine::CoverageRequest req;
-    req.model = circuits::make_token_ring(spec);
-    req.signals = {"tok1"};
-    req.uncovered_limit = 0;
+  std::vector<engine::CoverageRequest> requests = ring_requests(config, false);
+  for (engine::CoverageRequest& req : requests) {
     req.options.parallel_apply = static_cast<std::uint32_t>(workers);
-    requests.push_back(std::move(req));
   }
-
-  engine::Executor executor{engine::ExecutorOptions{1, nullptr}};
-  const auto t0 = Clock::now();
-  const std::vector<engine::SuiteResult> results =
-      executor.run_all(std::move(requests));
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-  Measurement m;
-  for (const engine::SuiteResult& r : results) {
-    if (!r.error.empty()) {
-      std::fprintf(stderr, "error: %s\n", r.error.c_str());
-      std::exit(1);
-    }
-    m.verify_passes += r.verify.passes;
-  }
-  m.name = std::move(name);
-  m.jobs = 1;
-  m.suites = results.size();
-  m.wall_ms = wall_ms;
-  m.suites_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(results.size()) * 1000.0 / wall_ms
-                    : 0.0;
-  return m;
+  return run_batch(1, std::move(requests), std::move(name));
 }
 
 /// The gc-under-load configuration: the sharded shared-manager workload
@@ -281,9 +225,7 @@ Measurement measure_gc_under_load(const Config& config, std::size_t workers,
   // BddManager reads COVEST_GC_THRESHOLD at construction; sessions are
   // created inside measure(), so the env var scopes the whole run.
   ::setenv("COVEST_GC_THRESHOLD", reclaim ? "64" : "1000000000", 1);
-  Measurement m =
-      measure(config, workers, config.shards,
-              engine::ShardMode::kSharedManager, std::move(name));
+  Measurement m = measure(config, workers, config.shards, std::move(name));
   ::unsetenv("COVEST_GC_THRESHOLD");
   return m;
 }
@@ -419,9 +361,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> names = benchmark_names(config);
   std::size_t name_index = 0;
   for (const std::size_t workers : config.jobs) {
-    const Measurement m =
-        measure(config, workers, 1, engine::ShardMode::kSharedManager,
-                names[name_index++]);
+    const Measurement m = measure(config, workers, 1, names[name_index++]);
     std::printf("jobs=%zu: %zu suites in %.1f ms  (%.1f suites/sec)\n",
                 m.jobs, m.suites, m.wall_ms, m.suites_per_sec);
     measurements.push_back(m);
@@ -437,37 +377,22 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
   }
 
-  // Intra-suite sharding: shared_manager (verify once per suite) vs
-  // replicated (every shard re-verifies) — and, within shared_manager,
-  // the table-mode comparison: the lock-free unique table/wait-free
-  // cache against the striped-lock baseline. verify_passes makes the
-  // saved work visible even where single-core wall-clock cannot show
-  // it; the table-mode ratio needs real cores to mean anything.
+  // Intra-suite sharding (verify once per suite, rows on K threads over
+  // one shared manager) under both table modes: the lock-free unique
+  // table/wait-free cache against the striped-lock baseline. The ratio
+  // needs real cores to mean anything.
   const std::size_t shard_workers =
       *std::max_element(config.jobs.begin(), config.jobs.end());
   Measurement shared = measure(config, shard_workers, config.shards,
-                               engine::ShardMode::kSharedManager,
                                names[name_index++], bdd::TableMode::kLockFree);
   Measurement shared_striped =
-      measure(config, shard_workers, config.shards,
-              engine::ShardMode::kSharedManager, names[name_index++],
+      measure(config, shard_workers, config.shards, names[name_index++],
               bdd::TableMode::kStriped);
-  Measurement replicated =
-      measure(config, shard_workers, config.shards,
-              engine::ShardMode::kReplicated, names[name_index++]);
-  for (const Measurement* m : {&shared, &shared_striped, &replicated}) {
+  for (const Measurement* m : {&shared, &shared_striped}) {
     std::printf("%s: %.1f suites/sec, %zu verify passes\n", m->name.c_str(),
                 m->suites_per_sec, m->verify_passes);
     measurements.push_back(*m);
   }
-  const double shard_speedup =
-      replicated.suites_per_sec > 0.0
-          ? shared.suites_per_sec / replicated.suites_per_sec
-          : 0.0;
-  std::printf("shared_manager vs replicated at shards=%zu: %.2fx "
-              "(verify passes %zu vs %zu)\n",
-              config.shards, shard_speedup, shared.verify_passes,
-              replicated.verify_passes);
   const double table_speedup =
       shared_striped.suites_per_sec > 0.0
           ? shared.suites_per_sec / shared_striped.suites_per_sec
@@ -492,29 +417,11 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("warm cache vs cold over loopback: %.2fx\n", cache_speedup);
 
-  // Image strategies on the token ring: one conjoined relation against
-  // clustered partials with early quantification against saturation-style
-  // chaining, byte-identical results throughout.
-  Measurement img_monolithic = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kMonolithic,
-      names[name_index++]);
-  Measurement img_partitioned = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kPartitioned,
-      names[name_index++]);
-  Measurement img_chaining = measure_image_strategy(
-      config, shard_workers, image::ImageStrategy::kChaining,
-      names[name_index++]);
-  for (const Measurement* m :
-       {&img_monolithic, &img_partitioned, &img_chaining}) {
-    std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
-    measurements.push_back(*m);
-  }
-  const double image_speedup =
-      img_monolithic.suites_per_sec > 0.0
-          ? img_partitioned.suites_per_sec / img_monolithic.suites_per_sec
-          : 0.0;
-  std::printf("partitioned vs monolithic on token_ring(%u): %.2fx\n",
-              kRingCells, image_speedup);
+  // The image-bound token-ring suite.
+  const Measurement ring =
+      measure_token_ring(config, shard_workers, names[name_index++]);
+  std::printf("%s: %.1f suites/sec\n", ring.name.c_str(), ring.suites_per_sec);
+  measurements.push_back(ring);
 
   // In-operation parallelism: the work-stealing parallel apply at each
   // worker count on the same ring suite, jobs pinned to 1. workers:1 is
@@ -585,20 +492,13 @@ int main(int argc, char** argv) {
                    "  \"note\": \"1 hardware thread: parallel "
                    "configurations (jobs>1, shards>1) measure scheduling "
                    "overhead, not speedup; jobs=4 may read slower than "
-                   "jobs=2. verify_passes is the hardware-independent "
-                   "signal: shared_manager verifies each suite once, "
-                   "replicated once per shard.\",\n");
+                   "jobs=2.\",\n");
     }
     std::fprintf(out, "  \"speedup_max_jobs_vs_1\": %.3f,\n", speedup);
-    std::fprintf(out, "  \"shared_vs_replicated_speedup\": %.3f,\n",
-                 shard_speedup);
     std::fprintf(out, "  \"lockfree_vs_striped_speedup\": %.3f,\n",
                  table_speedup);
     std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f,\n",
                  cache_speedup);
-    std::fprintf(out,
-                 "  \"partitioned_vs_monolithic_speedup\": %.3f,\n",
-                 image_speedup);
     std::fprintf(out,
                  "  \"parallel_apply_4_vs_1_speedup\": %.3f,\n",
                  parallel_apply_speedup);

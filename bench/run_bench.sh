@@ -9,20 +9,16 @@
 #   BENCH_engine.json — engine-layer suite throughput (suites/sec over
 #                       the example-model manifest at --jobs 1, 2, 4,
 #                       via bench/engine_throughput and the executor),
-#                       plus the intra-suite sharding comparison:
-#                       shard_mode shared_manager (verify once, rows on
+#                       plus intra-suite sharding (verify once, rows on
 #                       K threads over one shared BddManager; measured
-#                       under both table_mode=lockfree and striped) vs
-#                       replicated (every shard re-verifies), plus the
-#                       server_loopback family: the covest_serve wire
-#                       path end to end (an in-process CovestServer on
-#                       127.0.0.1), cache:off against cache:on — the
-#                       warm-model-cache speedup. On boxes with few
-#                       hardware threads the wall-clock columns mostly
-#                       measure scheduling overhead — the file carries
-#                       a "note" and the per-entry verify_passes
-#                       counters, which show the work saved regardless
-#                       of core count.
+#                       under both table_mode=lockfree and striped),
+#                       plus the server_loopback family: the
+#                       covest_serve wire path end to end (an in-process
+#                       CovestServer on 127.0.0.1), cache:off against
+#                       cache:on — the warm-model-cache speedup. On
+#                       boxes with few hardware threads the wall-clock
+#                       columns mostly measure scheduling overhead — the
+#                       file then carries a "note".
 #
 # Usage: bench/run_bench.sh [build_dir] [output_json]
 #        bench/run_bench.sh --check-stale [build_dir] [bench_json]
@@ -125,7 +121,8 @@ echo "wrote ${OUT_JSON}"
 
 # Engine-layer suite throughput: every example model's default suite,
 # repeated, fanned out through the executor at 1/2/4 workers, then the
-# shards=4 shared_manager-vs-replicated comparison.
+# shards=4 table-mode comparison and the token-ring, parallel-apply and
+# gc-under-load families.
 "${BUILD_DIR}/engine_throughput" \
   --repeat "${ENGINE_REPEAT}" \
   --jobs 1,2,4 \

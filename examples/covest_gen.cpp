@@ -17,14 +17,11 @@
 //
 // Every emitted model round-trips through model::parse_model before
 // anything is recorded — the corpus is parseable by construction — and
-// each suite is run in-process under all three image strategies
-// (monolithic, partitioned, chaining); generation aborts if any pair of
-// strategies disagrees byte-for-byte, so the corpus doubles as a
-// strategy-parity battery:
+// the oracle line is each suite's in-process `Engine::run` result, so
+// replaying the manifest through the batch driver must reproduce it
+// byte for byte:
 //
 //   covest_batch corpus/manifest.ndjson | diff - corpus/oracle.ndjson
-//   covest_batch --image-strategy chaining corpus/manifest.ndjson \
-//     | diff - corpus/oracle.ndjson
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -37,7 +34,6 @@
 #include "engine/engine.h"
 #include "engine/request_json.h"
 #include "engine/result_json.h"
-#include "image/image.h"
 #include "model/model.h"
 #include "model/model_parser.h"
 #include "util/cli.h"
@@ -53,9 +49,8 @@ void usage(std::FILE* to) {
       "\n"
       "Writes DIR/seed_NNNN.cov for seeds S .. S+N-1 plus\n"
       "DIR/manifest.ndjson (covest_batch requests) and\n"
-      "DIR/oracle.ndjson (their canonical results). Each suite is\n"
-      "replayed under all three image strategies before it is recorded;\n"
-      "generation fails on any byte difference.\n"
+      "DIR/oracle.ndjson (their canonical results, computed\n"
+      "in-process).\n"
       "\n"
       "options:\n"
       "  --seeds N    corpus size (required, positive)\n"
@@ -282,40 +277,21 @@ int main(int argc, char** argv) {
     request.signals = g.signals;
     request.uncovered_limit = 0;  // Counts and percentages, byte-stable.
 
-    // The oracle line: the same request resolved in-process, replayed
-    // under every image strategy; any byte of disagreement kills the
-    // corpus rather than recording a strategy-dependent "truth".
+    // The oracle line: the same request resolved in-process.
     engine::CoverageRequest resolved = request;
     resolved.model_path.clear();
     resolved.model_source = g.cov_text;
-    std::string expect;
-    for (const image::ImageStrategy strategy :
-         {image::ImageStrategy::kMonolithic,
-          image::ImageStrategy::kPartitioned,
-          image::ImageStrategy::kChaining}) {
-      resolved.options.image_strategy = strategy;
-      const engine::SuiteResult result = engine::Engine().run(resolved);
-      if (!result.error.empty()) {
-        std::fprintf(stderr, "error: seed %u failed to run: %s\n", seed,
-                     result.error.c_str());
-        return 1;
-      }
-      const std::string got = canonical(result);
-      if (expect.empty()) {
-        expect = got;
-      } else if (got != expect) {
-        std::fprintf(stderr,
-                     "error: seed %u: image strategy '%s' diverged from the "
-                     "monolithic baseline\n",
-                     seed, image::to_string(strategy));
-        return 1;
-      }
+    const engine::SuiteResult result = engine::Engine().run(resolved);
+    if (!result.error.empty()) {
+      std::fprintf(stderr, "error: seed %u failed to run: %s\n", seed,
+                   result.error.c_str());
+      return 1;
     }
 
     engine::JsonOptions compact;
     compact.pretty = false;
     manifest << engine::to_json(request, compact);
-    oracle << expect;
+    oracle << canonical(result);
   }
   manifest.close();
   oracle.close();

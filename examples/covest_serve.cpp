@@ -78,9 +78,6 @@ void usage(std::FILE* to) {
       "               byte-identical to serial\n"
       "  --table-mode lockfree|striped\n"
       "               shared-manager synchronization for sharded jobs\n"
-      "  --image-strategy monolithic|partitioned|chaining\n"
-      "               default image computation strategy for every job\n"
-      "               (results are byte-identical across strategies)\n"
       "  --cache N    warm model cache capacity in parked sessions\n"
       "               (default 8; 0 disables caching)\n"
       "  --max-connections N\n"
@@ -197,17 +194,6 @@ int main(int argc, char** argv) {
         usage(stderr);
         return 2;
       }
-    } else if (std::strcmp(arg, "--image-strategy") == 0) {
-      const char* name = i + 1 < argc ? argv[++i] : "";
-      image::ImageStrategy strategy;
-      if (!image::image_strategy_from_string(name, &strategy)) {
-        std::fprintf(stderr,
-                     "error: --image-strategy needs 'monolithic', "
-                     "'partitioned' or 'chaining'\n\n");
-        usage(stderr);
-        return 2;
-      }
-      options.defaults.image_strategy = strategy;
     } else if (std::strcmp(arg, "--stats") == 0) {
       options.stats = true;
     } else if (std::strcmp(arg, "--help") == 0) {

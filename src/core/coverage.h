@@ -42,7 +42,6 @@
 #include "ctl/checker.h"
 #include "ctl/ctl.h"
 #include "fsm/trace.h"
-#include "image/image.h"
 
 namespace covest::core {
 
@@ -55,10 +54,6 @@ struct CoverageOptions {
   /// (Definition 3 presupposes M |= f). When false, failing properties
   /// contribute an empty covered set instead.
   bool require_holds = true;
-  /// How images/preimages traverse the partitioned transition relation
-  /// (image/image.h). Results are byte-identical across strategies;
-  /// only the intermediates — and so the wall time — differ.
-  image::ImageStrategy image_strategy = image::ImageStrategy::kPartitioned;
   /// Work-stealing parallelism *inside* each BDD operation
   /// (bdd/parallel.h): total worker threads for apply/exists/
   /// and_exists fork/join recursion; 0 = serial. Byte-identical to the

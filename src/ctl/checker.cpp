@@ -80,21 +80,8 @@ Bdd ModelChecker::eu(const Bdd& p, const Bdd& q) {
 }
 
 Bdd ModelChecker::eu_plain(const Bdd& p, const Bdd& q) {
-  // lfp Z. q | (p & EX Z). Under kChaining the loop keeps the classic
-  // accumulated-set (Gauss-Seidel) discipline — the whole Z goes back
-  // through the chained clusters each round; otherwise it runs the
-  // frontier (BFS) discipline, which preimages only the newly-added
-  // states (preimage distributes over union, so both converge to the
-  // identical least fixpoint).
-  if (fsm_.image_strategy() == image::ImageStrategy::kChaining) {
-    Bdd z = q;
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = z | (p & fsm_.backward(z));
-      if (next == z) return z;
-      z = next;
-    }
-  }
+  // lfp Z. q | (p & EX Z), by frontier BFS: only the newly-added states
+  // are preimaged each round (preimage distributes over union).
   Bdd z = q;
   Bdd frontier = q;
   while (!frontier.is_false()) {

@@ -46,7 +46,7 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.live_nodes = mgr.live_node_count();
   p.peak_live_nodes = st.peak_live_nodes;
   p.cache_hit_rate = st.cache_hit_rate();
-  p.passes = 1;  // This session ran the phase once; merges may sum.
+  p.passes = 1;  // This session ran the phase once.
   p.node_budget = mgr.max_live_nodes();
   p.shared_gc_runs = st.shared_gc_runs;
   p.retired_nodes = st.retired_nodes;
@@ -90,15 +90,6 @@ bool result_status_from_string(const std::string& text, ResultStatus* out) {
 std::size_t effective_shards(std::size_t requested, std::size_t rows) {
   if (requested <= 1 || rows <= 1) return 1;
   return std::min({requested, rows, kMaxEstimatorThreads});
-}
-
-std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
-                                                      std::size_t shard,
-                                                      std::size_t shards) {
-  const std::size_t base = total / shards;
-  const std::size_t rem = total % shards;
-  const std::size_t first = shard * base + std::min(shard, rem);
-  return {first, first + base + (shard < rem ? 1 : 0)};
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +147,19 @@ bdd::ParallelConfig parallel_config(const CoverageRequest& request) {
   return par;
 }
 
+/// Contiguous chunk [first, last) of `total` rows owned by `shard` of
+/// `shards`. Chunked (not strided) assignment keeps
+/// concatenation-in-shard-order equal to request order even for partial
+/// (cancelled) shards.
+std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
+                                                      std::size_t shard,
+                                                      std::size_t shards) {
+  const std::size_t base = total / shards;
+  const std::size_t rem = total % shards;
+  const std::size_t first = shard * base + std::min(shard, rem);
+  return {first, first + base + (shard < rem ? 1 : 0)};
+}
+
 /// Structural hash of a resolved suite — the key of the session's
 /// verified-suite record. Everything a cold verify phase bakes into its
 /// artifacts participates: the raw CTL text (PropertyResult::ctl_text
@@ -211,7 +215,7 @@ std::vector<std::string> resolve_signal_names(const CoverageRequest& request,
 
 Session::Session(const model::Model& model, core::CoverageOptions options,
                  std::size_t max_live_nodes)
-    : fsm_(model, max_live_nodes, options.image_strategy),
+    : fsm_(model, max_live_nodes),
       checker_(fsm_),
       estimator_(checker_, lenient(options)) {}
 
@@ -286,8 +290,8 @@ SuiteResult Session::run(const CoverageRequest& request,
   result.model_name = m.name();
   result.state_bits = m.state_bit_count();
 
-  // Every phase snapshot carries the partitioned-relation shape, so a
-  // strategy's per-phase win is observable next to its timings.
+  // Every phase snapshot carries the partitioned-relation shape, so the
+  // relation's clustering is observable next to its timings.
   const auto snap = [this](double ms) {
     PhaseStats p = snapshot(fsm_.mgr(), ms);
     p.partial_relations = fsm_.relation().partial_count();

@@ -85,20 +85,6 @@ struct PropertySpec {
   }
 };
 
-/// How a sharded request (shards > 1) is executed.
-enum class ShardMode {
-  /// One session, one shared BddManager: the model is parsed, elaborated
-  /// and verified exactly once, and only the per-signal estimation rows
-  /// fan out across up to `shards` estimator threads (bdd.h shared
-  /// mode). The default — verification cost is paid once per suite.
-  kSharedManager,
-  /// Each shard is an independent executor task with its own manager
-  /// and re-verifies the whole suite (verification cost × shards, zero
-  /// lock contention). Kept for benchmarking the trade-off against
-  /// kSharedManager; results are byte-identical either way.
-  kReplicated,
-};
-
 /// Hard cap on estimator threads per suite: an untrusted request's
 /// `shards` value must bound thread creation, not the other way around.
 inline constexpr std::size_t kMaxEstimatorThreads = 32;
@@ -107,15 +93,6 @@ inline constexpr std::size_t kMaxEstimatorThreads = 32;
 /// to the number of signal rows (spare threads would idle) and to
 /// `kMaxEstimatorThreads`; at least 1.
 std::size_t effective_shards(std::size_t requested, std::size_t rows);
-
-/// Contiguous chunk [first, last) of `total` rows owned by `shard` of
-/// `shards`. Chunked (not strided) assignment keeps
-/// concatenation-in-shard-order equal to request order even for partial
-/// (cancelled) shards. Shared by the session's in-manager fan-out and
-/// the executor's replicated sharding.
-std::pair<std::size_t, std::size_t> shard_chunk_range(std::size_t total,
-                                                      std::size_t shard,
-                                                      std::size_t shards);
 
 /// Structured final status of a suite run: the machine-readable failure
 /// taxonomy the result JSON, the executor and the CLIs all share. `kOk`
@@ -161,8 +138,8 @@ struct CoverageRequest {
   std::vector<std::string> signals;
 
   // -- Policy ---------------------------------------------------------------
-  /// Estimator policy. `options.image_strategy` travels as the
-  /// top-level `"image_strategy"` JSON field (like `table_mode`), not
+  /// Estimator policy. `options.parallel_apply` travels as the
+  /// top-level `"parallel_apply"` JSON field (like `table_mode`), not
   /// inside the `"options"` object.
   core::CoverageOptions options;
   /// When false (default), properties that fail verification are skipped:
@@ -176,17 +153,15 @@ struct CoverageRequest {
   bool want_traces = false;
   /// Intra-suite signal sharding: split the signal rows across up to
   /// this many estimator threads (see `effective_shards` for the
-  /// clamp). Under the default `ShardMode::kSharedManager`,
-  /// `Session::run` itself fans the rows out over one shared manager
+  /// clamp). `Session::run` fans the rows out over one shared manager
   /// after verifying the suite exactly once; rows are merged back in
   /// request order and are bit-identical to the serial path.
   std::size_t shards = 1;
-  ShardMode shard_mode = ShardMode::kSharedManager;
-  /// How the shared manager of a `kSharedManager` fan-out synchronizes
-  /// its unique tables and computed cache: the lock-free CAS table
+  /// How the shared manager of a sharded fan-out synchronizes its
+  /// unique tables and computed cache: the lock-free CAS table
   /// (default) or the striped-lock baseline (kept for benchmarking;
   /// results are byte-identical either way). Ignored when the run
-  /// never enters shared mode (serial or replicated).
+  /// never enters shared mode.
   bdd::TableMode table_mode = bdd::TableMode::kLockFree;
 
   // -- Resource governance ----------------------------------------------------
@@ -206,8 +181,8 @@ struct CoverageRequest {
 
 /// The effective property suite of a request on its model: the request's
 /// own properties, else the model's SPEC entries. `Session::run` and the
-/// executor's shard validation both resolve through here — the sharded
-/// path must agree with the serial path on this list.
+/// executor's request validation both resolve through here, so the two
+/// agree on this list.
 std::vector<PropertySpec> resolve_suite(const CoverageRequest& request,
                                         const model::Model& model);
 
@@ -264,11 +239,10 @@ struct PhaseStats {
   std::size_t live_nodes = 0;
   std::size_t peak_live_nodes = 0;
   double cache_hit_rate = 0.0;  ///< Computed-cache hit rate, cumulative.
-  /// How many times this phase actually executed for the job: 1 for a
-  /// serial or shared-manager run (the whole point of the shared-manager
-  /// sharding is verify.passes == 1), one per shard that elaborated for
-  /// a replicated sharded run, 0 when the phase never ran (errors,
-  /// early cancellation).
+  /// How many times this phase actually executed for the job: 1 when it
+  /// ran (sharded runs included — they verify once and fan out only the
+  /// estimation rows), 0 when it never ran (errors, early cancellation,
+  /// or a warm session that replayed a verified suite).
   std::size_t passes = 0;
   /// The manager's `max_live_nodes` budget during the run; 0 when
   /// unbudgeted (and then omitted from the JSON stats).
@@ -293,12 +267,16 @@ struct PhaseStats {
 
 /// Structured outcome of a whole suite run.
 struct SuiteResult {
-  /// One-shot `Engine::run` parks its Session here so the `covered` BDD
-  /// handles in `signals` outlive the call. Declared first: members are
-  /// destroyed in reverse declaration order, and the handles below must
-  /// die before their manager. `Session::run` results instead stay valid
-  /// for the session's lifetime.
-  std::shared_ptr<void> retain;
+  SuiteResult() = default;
+  SuiteResult(const SuiteResult&) = default;
+  SuiteResult(SuiteResult&&) = default;
+  /// Member-wise in declaration order, and `retain` is declared last: the
+  /// old rows' `covered` handles die before the old manager is released.
+  SuiteResult& operator=(const SuiteResult&) = default;
+  SuiteResult& operator=(SuiteResult&&) = default;
+  /// Members die in reverse declaration order, which would release
+  /// `retain` first; the row handles must go before their manager.
+  ~SuiteResult() { signals.clear(); }
 
   std::string model_name;
   unsigned state_bits = 0;
@@ -328,6 +306,11 @@ struct SuiteResult {
   PhaseStats verify;     ///< Model checking of the suite.
   PhaseStats estimate;   ///< Coverage estimation + hole reporting.
   double total_ms = 0.0;
+
+  /// One-shot `Engine::run` parks its Session here so the `covered` BDD
+  /// handles in `signals` outlive the call. `Session::run` results
+  /// instead stay valid for the session's lifetime.
+  std::shared_ptr<void> retain;
 
   bool all_passed() const { return failures == 0 && error.empty(); }
 };

@@ -3,12 +3,12 @@
 //
 // The paper's workflow is many suites × many observed signals; this is
 // the subsystem that serves it at scale. An `Executor` owns a pool of
-// `std::thread` workers; each job builds its BDD state *locally*: one
-// `BddManager`/FSM/`Session` constructed on the worker thread. Between
-// jobs there is no shared mutable symbolic state — only the job queue
-// and result slots are synchronized. *Within* a sharded job, the
-// session's manager enters bdd.h shared mode for the estimation phase
-// (below).
+// `std::thread` workers; each job is one task that builds its BDD state
+// *locally*: one `BddManager`/FSM/`Session` constructed on the worker
+// thread. Between jobs there is no shared mutable symbolic state — only
+// the job queue and result slots are synchronized. *Within* a sharded
+// job, the session's manager enters bdd.h shared mode for the
+// estimation phase (below).
 //
 //   engine::Executor ex(engine::ExecutorOptions{4});
 //   engine::JobHandle a = ex.submit(request_a);
@@ -19,21 +19,15 @@
 // submit order regardless of which worker finishes first, and every row
 // of every result is bit-identical to the serial `Engine::run` path.
 //
-// Signal sharding: a request with `shards = K > 1` under the default
-// `ShardMode::kSharedManager` stays ONE job on ONE worker — the model
-// is parsed, elaborated and verified exactly once — and only the
-// per-signal estimation rows fan out across `effective_shards`
-// estimator threads sharing that session's BddManager. The legacy
-// `ShardMode::kReplicated` instead splits the rows across up to K
-// independent tasks that each re-verify on their own manager (kept as
-// the benchmark baseline; `BENCH_engine.json` records both). Either
-// way, chunks concatenate back in request order and completed runs are
-// bit-identical to serial; a *cancelled* sharded run keeps each chunk's
-// prefix, so the partial row list may have interior gaps (row order is
-// still request order) — unlike the serial path, whose partial result
-// is always one prefix. `SuiteResult` phase stats expose the
-// difference: `verify.passes` is 1 for a shared-manager run and the
-// number of elaborated shards for a replicated one.
+// Signal sharding: a request with `shards = K > 1` stays ONE job on ONE
+// worker — the model is parsed, elaborated and verified exactly once —
+// and only the per-signal estimation rows fan out across
+// `effective_shards` estimator threads sharing that session's
+// BddManager. Chunks concatenate back in request order, so completed
+// runs are bit-identical to serial; a *cancelled* sharded run keeps each
+// chunk's prefix, so the partial row list may have interior gaps (row
+// order is still request order) — unlike the serial path, whose partial
+// result is always one prefix.
 //
 // Errors: nothing a job does throws out of a worker. Model/CTL parse
 // errors, unknown signals and missing model sources all surface as
@@ -71,7 +65,7 @@ struct JobState;
 struct JobEvent {
   enum class Kind {
     kQueued,      ///< Accepted by `submit` (fires on the submitting thread).
-    kStarted,     ///< A worker began elaborating the job's first shard.
+    kStarted,     ///< A worker began elaborating the job.
     kVerifying,   ///< One property checked (`progress` has index/total/ok).
     kEstimating,  ///< Verification done, coverage estimation begins.
     kRowDone,     ///< One signal row estimated (`progress` has percent).
@@ -79,7 +73,7 @@ struct JobEvent {
   };
   std::uint64_t job = 0;  ///< Monotonic per-executor job id (submit order).
   Kind kind = Kind::kQueued;
-  std::size_t shard = 0;   ///< Shard (estimator chunk) that produced it.
+  std::size_t shard = 0;   ///< Estimator chunk that produced a kRowDone.
   std::size_t shards = 1;  ///< Effective shards of this job (kQueued may
                            ///< still report 1: rows aren't resolved yet).
   Progress progress;       ///< Valid for kVerifying/kEstimating/kRowDone.
@@ -97,9 +91,9 @@ struct JobEvent {
 using JobEventFn = std::function<void(const JobEvent&)>;
 
 /// Per-job callbacks. `on_progress` follows the facade contract
-/// (RunHooks): it receives shard 0's ticks in serial order and may
+/// (RunHooks): it receives chunk 0's row ticks in serial order and may
 /// cancel the whole job by returning false. `on_event` receives every
-/// shard's events.
+/// chunk's events.
 struct JobHooks {
   ProgressFn on_progress;
   JobEventFn on_event;
@@ -151,7 +145,7 @@ class JobHandle {
 // Executor
 // ---------------------------------------------------------------------------
 
-/// What `submit` does when a bounded task queue is full.
+/// What `submit` does when a bounded job queue is full.
 enum class AdmissionPolicy {
   /// Block the submitting thread until the queue has room — natural
   /// backpressure for producer loops. The default.
@@ -168,14 +162,14 @@ struct ExecutorOptions {
   /// Executor-wide event tap, called in addition to each job's own
   /// `JobHooks::on_event`.
   JobEventFn on_event;
-  /// Bounded admission: when nonzero, `submit` refuses to grow the task
-  /// queue past this many queued tasks (replicated shards count
-  /// individually). 0 = unbounded, the pre-governance behavior.
+  /// Bounded admission: when nonzero, `submit` refuses to grow the job
+  /// queue past this many queued jobs. 0 = unbounded, the
+  /// pre-governance behavior.
   std::size_t max_queue_depth = 0;
   /// Full-queue policy; only consulted when `max_queue_depth != 0`.
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Warm model cache (session_cache.h), shared across jobs: a
-  /// non-replicated job whose model comes as text (`model_source` or
+  /// Warm model cache (session_cache.h), shared across jobs: a job
+  /// whose model comes as text (`model_source` or
   /// `model_path`) leases a parked session keyed by the source bytes +
   /// elaboration options instead of re-parsing/elaborating — and, when
   /// the suite matches the session's verified-suite record, skips
@@ -200,15 +194,13 @@ class Executor {
 
   std::size_t worker_count() const { return threads_.size(); }
 
-  /// Tasks currently queued (not yet picked up by a worker) — the
+  /// Jobs currently queued (not yet picked up by a worker) — the
   /// server's queue-depth metric. A racy snapshot by nature.
   std::size_t queue_depth() const;
 
-  /// Enqueues one suite job. A sharded request under the default
-  /// shared-manager mode stays one task (its session spawns the
-  /// estimator threads); replicated sharding enqueues its shards,
-  /// clamped to the worker count. Never throws for request defects —
-  /// they come back as `SuiteResult::error` on the handle.
+  /// Enqueues one suite job (a sharded request too: its session spawns
+  /// the estimator threads). Never throws for request defects — they
+  /// come back as `SuiteResult::error` on the handle.
   ///
   /// Governance: a request's `deadline_ms` clock starts here, at
   /// submission — time spent waiting in the queue counts against the
@@ -227,8 +219,8 @@ class Executor {
   /// number of jobs the cancellation reached.
   std::size_t cancel_all();
 
-  /// Stop-the-world maintenance window: stops handing queued tasks to
-  /// workers, waits for every in-flight task to finish, then runs a
+  /// Stop-the-world maintenance window: stops handing queued jobs to
+  /// workers, waits for every in-flight job to finish, then runs a
   /// full exclusive GC (and, when `sift` is set, a variable reorder —
   /// which changes witness/trace bytes, so byte-stable servers keep it
   /// off) over every session parked in the warm cache, and resumes.

@@ -76,9 +76,6 @@ ParsedLine parse_request_line(const std::string& raw,
   if (defaults.table_mode) {
     job.request.table_mode = *defaults.table_mode;
   }
-  if (defaults.image_strategy) {
-    job.request.options.image_strategy = *defaults.image_strategy;
-  }
   return job;
 }
 

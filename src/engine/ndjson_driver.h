@@ -36,7 +36,6 @@
 #include <string>
 
 #include "engine/executor.h"
-#include "image/image.h"
 
 namespace covest::engine {
 
@@ -62,8 +61,8 @@ std::string ndjson_dirname(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Driver-level knobs applied to every parsed request line — the
-/// `--shards/--deadline-ms/--max-nodes/--table-mode/--image-strategy/
-/// --parallel-apply` flags both binaries accept.
+/// `--shards/--deadline-ms/--max-nodes/--table-mode/--parallel-apply`
+/// flags both binaries accept.
 struct RequestDefaults {
   std::size_t shards = 0;       ///< 0 = leave the request's own value.
   std::size_t deadline_ms = 0;  ///< 0 = leave the request's own value.
@@ -71,8 +70,6 @@ struct RequestDefaults {
   /// In-operation parallel-apply workers; 0 = leave the request's value.
   std::size_t parallel_apply = 0;
   std::optional<bdd::TableMode> table_mode;  ///< Unset = per-request value.
-  /// Unset = per-request value.
-  std::optional<image::ImageStrategy> image_strategy;
   bool want_traces = false;  ///< Applied to bare model-path lines only.
   /// How a set flag meets a request that also sets the field: the batch
   /// driver's flags win (true — a CLI override for the whole batch);

@@ -13,11 +13,8 @@ using bdd::Bdd;
 using bdd::Var;
 
 SymbolicFsm::SymbolicFsm(const model::Model& model,
-                         std::size_t max_live_nodes,
-                         image::ImageStrategy strategy)
-    : model_(model),
-      mgr_(std::make_unique<bdd::BddManager>()),
-      strategy_(strategy) {
+                         std::size_t max_live_nodes)
+    : model_(model), mgr_(std::make_unique<bdd::BddManager>()) {
   mgr_->set_max_live_nodes(max_live_nodes);
   model_.validate();
   allocate_variables();
@@ -128,9 +125,7 @@ void SymbolicFsm::build_image_engine() {
 
   // Static variable order: FORCE-style placement of the current/next
   // pairs. Installing it now — before the initial states, fairness and
-  // property sets are built — keeps the one reordering pass cheap. The
-  // order is a function of the model alone (never of the strategy), so
-  // cross-strategy byte-identity is unaffected.
+  // property sets are built — keeps the one reordering pass cheap.
   const image::VariableOrdering ordering =
       dep_.derive_order(current_vars_, next_vars_);
   if (!ordering.order.empty()) mgr_->set_order(ordering.order);
@@ -174,26 +169,14 @@ Bdd SymbolicFsm::to_current(const Bdd& next_set) const {
 }
 
 Bdd SymbolicFsm::forward(const Bdd& states) const {
-  return to_current(rel_.image(states, strategy_));
+  return to_current(rel_.image(states));
 }
 
 Bdd SymbolicFsm::backward(const Bdd& states) const {
-  return rel_.preimage(to_next(states), strategy_);
+  return rel_.preimage(to_next(states));
 }
 
 Bdd SymbolicFsm::reachable(const Bdd& from) const {
-  if (strategy_ == image::ImageStrategy::kChaining) {
-    // Accumulated-set (Gauss-Seidel) discipline: feed the whole reached
-    // set back through the chained clusters until nothing is new. Same
-    // least fixpoint as the BFS below, different intermediates.
-    Bdd reached = from;
-    while (true) {
-      covest::governor_tick();
-      const Bdd next = reached | forward(reached);
-      if (next == reached) return reached;
-      reached = next;
-    }
-  }
   Bdd reached = from;
   Bdd frontier = from;
   while (!frontier.is_false()) {

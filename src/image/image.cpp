@@ -11,34 +11,6 @@ using bdd::Bdd;
 using bdd::Var;
 
 // ---------------------------------------------------------------------------
-// Strategy spellings
-// ---------------------------------------------------------------------------
-
-const char* to_string(ImageStrategy strategy) noexcept {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return "monolithic";
-    case ImageStrategy::kPartitioned:
-      return "partitioned";
-    case ImageStrategy::kChaining:
-      return "chaining";
-  }
-  return "partitioned";  // Unreachable for in-range enums.
-}
-
-bool image_strategy_from_string(const std::string& text, ImageStrategy* out) {
-  for (const ImageStrategy s :
-       {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-        ImageStrategy::kChaining}) {
-    if (text == to_string(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
 // DependencyMatrix
 // ---------------------------------------------------------------------------
 
@@ -248,50 +220,23 @@ void PartitionedRelation::build(bdd::BddManager& mgr,
   }
   seal();
 
-  // Natural (dependency) visit order, and the chaining order: clusters
-  // sorted by the topmost level their support reaches (saturation-style
-  // "fire the shallowest relation first"), ties by dependency position.
-  std::vector<std::size_t> natural(clusters_.size());
-  for (std::size_t i = 0; i < natural.size(); ++i) natural[i] = i;
-  std::vector<std::size_t> chain = natural;
-  {
-    std::vector<unsigned> top(clusters_.size(), 0);
-    for (std::size_t i = 0; i < clusters_.size(); ++i) {
-      unsigned best = static_cast<unsigned>(-1);
-      for (const Var v : mgr.support(clusters_[i])) {
-        best = std::min(best, mgr.level_of(v));
-      }
-      top[i] = best;
-    }
-    std::stable_sort(chain.begin(), chain.end(),
-                     [&top](std::size_t a, std::size_t b) {
-                       if (top[a] != top[b]) return top[a] < top[b];
-                       return a < b;
-                     });
-  }
-
-  sched_img_ = make_schedule(natural, img_quantify);
-  sched_pre_ = make_schedule(natural, pre_quantify);
-  chain_sched_img_ = make_schedule(chain, img_quantify);
-  chain_sched_pre_ = make_schedule(chain, pre_quantify);
-  img_full_cube_ = mgr.cube(img_quantify);
-  pre_full_cube_ = mgr.cube(pre_quantify);
+  sched_img_ = make_schedule(img_quantify);
+  sched_pre_ = make_schedule(pre_quantify);
 }
 
 PartitionedRelation::Schedule PartitionedRelation::make_schedule(
-    const std::vector<std::size_t>& visit,
     const std::vector<Var>& quantify) const {
-  // For each variable to quantify, find the last visited cluster whose
-  // support contains it; it can be quantified out right after that
-  // cluster is conjoined (early quantification). Variables in no
-  // cluster are quantified directly from the argument set.
+  // For each variable to quantify, find the last cluster whose support
+  // contains it; it can be quantified out right after that cluster is
+  // conjoined (early quantification). Variables in no cluster are
+  // quantified directly from the argument set.
   std::vector<int> last(mgr_->num_vars(), -1);
-  for (std::size_t pos = 0; pos < visit.size(); ++pos) {
-    for (const Var v : mgr_->support(clusters_[visit[pos]])) {
+  for (std::size_t pos = 0; pos < clusters_.size(); ++pos) {
+    for (const Var v : mgr_->support(clusters_[pos])) {
       last[v] = static_cast<int>(pos);
     }
   }
-  std::vector<std::vector<Var>> per_pos(visit.size());
+  std::vector<std::vector<Var>> per_pos(clusters_.size());
   std::vector<Var> rest;
   for (const Var v : quantify) {
     if (last[v] >= 0) {
@@ -301,7 +246,6 @@ PartitionedRelation::Schedule PartitionedRelation::make_schedule(
     }
   }
   Schedule sched;
-  sched.visit = visit;
   for (const auto& vars : per_pos) sched.cubes.push_back(mgr_->cube(vars));
   sched.rest = mgr_->cube(rest);
   return sched;
@@ -310,35 +254,17 @@ PartitionedRelation::Schedule PartitionedRelation::make_schedule(
 bdd::Bdd PartitionedRelation::apply(const Bdd& set,
                                     const Schedule& sched) const {
   Bdd x = mgr_->exists(set, sched.rest);
-  for (std::size_t pos = 0; pos < sched.visit.size(); ++pos) {
-    x = mgr_->and_exists(x, clusters_[sched.visit[pos]], sched.cubes[pos]);
+  for (std::size_t pos = 0; pos < clusters_.size(); ++pos) {
+    x = mgr_->and_exists(x, clusters_[pos], sched.cubes[pos]);
   }
   return x;
 }
 
-bdd::Bdd PartitionedRelation::image(const Bdd& states,
-                                    ImageStrategy strategy) const {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return mgr_->and_exists(states, monolithic(), img_full_cube_);
-    case ImageStrategy::kPartitioned:
-      return apply(states, sched_img_);
-    case ImageStrategy::kChaining:
-      return apply(states, chain_sched_img_);
-  }
-  return apply(states, sched_img_);  // Unreachable for in-range enums.
+bdd::Bdd PartitionedRelation::image(const Bdd& states) const {
+  return apply(states, sched_img_);
 }
 
-bdd::Bdd PartitionedRelation::preimage(const Bdd& states_next,
-                                       ImageStrategy strategy) const {
-  switch (strategy) {
-    case ImageStrategy::kMonolithic:
-      return mgr_->and_exists(states_next, monolithic(), pre_full_cube_);
-    case ImageStrategy::kPartitioned:
-      return apply(states_next, sched_pre_);
-    case ImageStrategy::kChaining:
-      return apply(states_next, chain_sched_pre_);
-  }
+bdd::Bdd PartitionedRelation::preimage(const Bdd& states_next) const {
   return apply(states_next, sched_pre_);
 }
 

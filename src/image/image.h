@@ -1,5 +1,5 @@
 // Partitioned image computation: conjunctive transition relations,
-// early quantification, and strategy-selectable image/preimage.
+// early quantification, and clustered image/preimage.
 //
 // The transition relation of a synchronous model is a conjunction of
 // per-signal-bit partial relations
@@ -25,48 +25,20 @@
 //    mentions it, so the relational product never carries a variable
 //    longer than it must.
 //
-// Three strategies select how an image is computed; all three produce
-// the *identical canonical BDD* (the set is the set), they only differ
-// in the shape and cost of the intermediates:
-//
-//  * kMonolithic — conjoin everything once (lazily), one `and_exists`
-//    per image. The oracle baseline the other two are measured against.
-//  * kPartitioned — clustered conjunction in dependency order with
-//    early quantification. The default.
-//  * kChaining — the same clusters visited in a saturation-style order
-//    (topmost-variable cluster first), with the early-quantification
-//    schedule recomputed for that order. Callers additionally switch
-//    their fix-point loops to the accumulated-set (Gauss-Seidel)
-//    discipline under this strategy; both disciplines converge to the
-//    same least/greatest fix-point, so results stay byte-identical.
+// Every image and preimage runs that clustered, early-quantified
+// product. The full conjunction (`monolithic()`) is still available,
+// built lazily on request; tests use it as the reference the
+// partitioned product must match node for node.
 #pragma once
 
 #include <cstddef>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "bdd/bdd.h"
 
 namespace covest::image {
-
-// ---------------------------------------------------------------------------
-// Strategy
-// ---------------------------------------------------------------------------
-
-enum class ImageStrategy {
-  kMonolithic,   ///< One lazily-built conjunction, one and_exists per image.
-  kPartitioned,  ///< Clustered conjunction + early quantification (default).
-  kChaining,     ///< Saturation-style cluster order + accumulated fix-points.
-};
-
-/// JSON/CLI spelling: "monolithic", "partitioned", "chaining".
-const char* to_string(ImageStrategy strategy) noexcept;
-
-/// Strict inverse of `to_string`: false (and `*out` untouched) for
-/// anything but the three canonical spellings.
-bool image_strategy_from_string(const std::string& text, ImageStrategy* out);
 
 // ---------------------------------------------------------------------------
 // Dependency matrix
@@ -147,18 +119,16 @@ class PartitionedRelation {
              std::size_t cluster_node_limit = kDefaultClusterNodeLimit);
 
   /// Image of `states` (over current/input vars): the successor set,
-  /// still over *next* vars — the caller renames. All strategies return
-  /// the identical canonical BDD.
-  bdd::Bdd image(const bdd::Bdd& states, ImageStrategy strategy) const;
+  /// still over *next* vars — the caller renames.
+  bdd::Bdd image(const bdd::Bdd& states) const;
 
   /// Preimage of `states_next` (over next vars): the predecessor set
   /// over current/input vars.
-  bdd::Bdd preimage(const bdd::Bdd& states_next,
-                    ImageStrategy strategy) const;
+  bdd::Bdd preimage(const bdd::Bdd& states_next) const;
 
   /// The full conjunction, built lazily under a lock (safe to first
-  /// request from a shared-mode thread). Also used for input labelling
-  /// of traces.
+  /// request from a shared-mode thread). No image runs through it; it
+  /// backs `SymbolicFsm::transition_relation` and the tests' reference.
   const bdd::Bdd& monolithic() const;
 
   // -- Introspection (PhaseStats, tests) -----------------------------------
@@ -169,10 +139,6 @@ class PartitionedRelation {
   const std::vector<std::size_t>& parts_per_cluster() const {
     return parts_per_cluster_;
   }
-  /// Chaining visit order over the clusters (topmost support first).
-  const std::vector<std::size_t>& chain_order() const {
-    return chain_sched_img_.visit;
-  }
   /// Early-quantification cubes of the partitioned image schedule,
   /// parallel to the clusters; exposed for the schedule unit tests.
   const std::vector<bdd::Bdd>& image_cubes() const {
@@ -181,18 +147,16 @@ class PartitionedRelation {
   const bdd::Bdd& image_rest_cube() const { return sched_img_.rest; }
 
  private:
-  /// One visit order's early-quantification plan: after conjoining
-  /// cluster visit[k], quantify cubes[k] (the variables whose last
+  /// One early-quantification plan over the clusters in order: after
+  /// conjoining cluster k, quantify cubes[k] (the variables whose last
   /// mention is in that cluster). `rest` holds the variables no cluster
   /// mentions — quantified straight out of the argument set.
   struct Schedule {
-    std::vector<std::size_t> visit;  ///< Cluster indices, visit order.
-    std::vector<bdd::Bdd> cubes;     ///< Parallel to `visit`.
+    std::vector<bdd::Bdd> cubes;  ///< Parallel to the clusters.
     bdd::Bdd rest;
   };
 
-  Schedule make_schedule(const std::vector<std::size_t>& visit,
-                         const std::vector<bdd::Var>& quantify) const;
+  Schedule make_schedule(const std::vector<bdd::Var>& quantify) const;
   bdd::Bdd apply(const bdd::Bdd& set, const Schedule& sched) const;
 
   bdd::BddManager* mgr_ = nullptr;
@@ -200,13 +164,8 @@ class PartitionedRelation {
   std::vector<std::size_t> parts_per_cluster_;
   std::size_t partial_count_ = 0;
 
-  Schedule sched_img_;        ///< Partitioned order, image.
-  Schedule sched_pre_;        ///< Partitioned order, preimage.
-  Schedule chain_sched_img_;  ///< Chaining order, image.
-  Schedule chain_sched_pre_;  ///< Chaining order, preimage.
-
-  bdd::Bdd img_full_cube_;  ///< All image-quantified vars (monolithic).
-  bdd::Bdd pre_full_cube_;
+  Schedule sched_img_;
+  Schedule sched_pre_;
 
   mutable std::mutex monolithic_mu_;
   mutable std::optional<bdd::Bdd> monolithic_;

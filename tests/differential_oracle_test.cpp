@@ -317,29 +317,6 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
       par.shards = 3;
       EXPECT_EQ(canonical(session->run(par)), expect) << "parallel sharded";
     }
-
-    // Image-strategy parity: the baseline above ran under the default
-    // (partitioned). Each strategy bakes a different image engine and
-    // fix-point discipline into the session at elaboration, so replay
-    // through a *fresh* session per strategy — serial and sharded, both
-    // table modes — and hold every run to byte-identity.
-    for (const image::ImageStrategy strategy :
-         {image::ImageStrategy::kMonolithic, image::ImageStrategy::kChaining}) {
-      SCOPED_TRACE(image::to_string(strategy));
-      CoverageRequest replay = g.request;
-      replay.options.image_strategy = strategy;
-      auto strategy_session = eng.open(replay);
-      EXPECT_EQ(canonical(strategy_session->run(replay)), expect);
-      for (const bdd::TableMode table_mode :
-           {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-        CoverageRequest sharded = replay;
-        sharded.shards = 3;
-        sharded.table_mode = table_mode;
-        EXPECT_EQ(canonical(strategy_session->run(sharded)), expect)
-            << (table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                        : "striped");
-      }
-    }
   }
   return interesting;
 }

@@ -167,6 +167,31 @@ TEST(EngineTest, ExplicitSuiteAndSignalsBypassModelSpecs) {
   EXPECT_FALSE(r.signals[0].covered.is_false());
 }
 
+// Assigning over a live result must drop the old rows' covered handles
+// before the session (and manager) they point into; otherwise ASan
+// reports a heap-use-after-free in Bdd::~Bdd.
+TEST(EngineTest, AssigningOverALiveResultReleasesHandlesFirst) {
+  const circuits::TokenRingSpec spec{8, 2};
+  CoverageRequest req;
+  req.model = circuits::make_token_ring(spec);
+  for (const auto& f : circuits::ring_safety_properties(spec)) {
+    req.properties.push_back(PropertySpec::of(f));
+  }
+  for (unsigned k = 0; k < spec.cells; ++k) {
+    req.signals.push_back("tok" + std::to_string(k));
+  }
+  SuiteResult r;
+  for (int i = 0; i < 3; ++i) {
+    r = Engine().run(req);
+    ASSERT_EQ(r.signals.size(), spec.cells);
+    EXPECT_FALSE(r.signals[0].covered.is_false());
+  }
+  SuiteResult copy;
+  copy = r;  // Copy assignment over an empty result...
+  copy = r;  // ...and over a live one sharing the same manager.
+  EXPECT_EQ(copy.signals.size(), spec.cells);
+}
+
 TEST(EngineTest, SessionReuseSharesWorkAcrossSuites) {
   const circuits::CircularQueueSpec spec{3};
   CoverageRequest base;

@@ -80,17 +80,19 @@ w('bad_request/uncovered_fractional.json', '{"uncovered_limit": 1.5}')
 w('bad_request/uncovered_bool.json', '{"uncovered_limit": true}')
 w('bad_request/uncovered_saturated.json', '{"uncovered_limit": 1e999}')
 w('bad_request/shards_zero.json', '{"shards": 0}')
-w('bad_request/shard_mode_unknown.json', '{"shard_mode": "both"}')
-w('bad_request/shard_mode_wrong_type.json', '{"shard_mode": 2}')
 w('bad_request/table_mode_unknown.json',
   '{"model_path": "m.cov", "table_mode": "spinlock"}')
 w('bad_request/table_mode_wrong_type.json',
   '{"model_path": "m.cov", "table_mode": 2}')
-w('bad_request/image_strategy_unknown.json',
-  '{"model_path": "m.cov", "image_strategy": "saturation"}')
-w('bad_request/image_strategy_wrong_type.json',
-  '{"model_path": "m.cov", "image_strategy": 1}')
 w('bad_request/unknown_top_level_key.json', '{"modle_path": "m.cov"}')
+# `shard_mode` and `image_strategy` are not schema keys: rejected like any
+# unknown key, whatever the value.
+w('bad_request/shard_mode_replicated.json',
+  '{"model_path": "m.cov", "shards": 4, "shard_mode": "replicated"}')
+w('bad_request/shard_mode_shared.json',
+  '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
+w('bad_request/image_strategy_chaining.json',
+  '{"model_path": "m.cov", "image_strategy": "chaining"}')
 # Resource-governance counts: both must be >= 1 integers when present
 # (0 is spelled by omission), and the shared count grammar already
 # rejects negatives, fractions, booleans and magnitudes past 1e15.
@@ -144,13 +146,9 @@ w('good_request/full_sharded.json',
   '"observe": ["x"], "comment": "c"}], "signals": ["x"], '
   '"options": {"restrict_to_fair": false, "exclude_dontcares": true}, '
   '"skip_failing": true, "uncovered_limit": 0, "want_traces": true, '
-  '"shards": 4, "shard_mode": "replicated"}')
-w('good_request/shard_mode_shared.json',
-  '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
+  '"shards": 4}')
 w('good_request/table_mode_striped.json',
   '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
-w('good_request/image_strategy_chaining.json',
-  '{"model_path": "m.cov", "image_strategy": "chaining"}')
 w('good_request/deadline_and_budget.json',
   '{"model_path": "m.cov", "deadline_ms": 500, "max_live_nodes": 100000}')
 w('good_request/parallel_apply.json',

@@ -1,10 +1,10 @@
 // Unit tests for the partitioned image engine (src/image): dependency-
 // matrix derivation from next-state supports, the FORCE-derived static
 // variable order, early-quantification schedules, cluster-order
-// determinism, and strategy parity — every strategy must return the
-// identical canonical BDD for every image/preimage/fix-point, because
-// the set is the set regardless of how the relational product was
-// scheduled.
+// determinism, and agreement with a monolithic reference — the clustered
+// product must return the identical canonical BDD for every
+// image/preimage/fix-point, because the set is the set regardless of
+// how the relational product was scheduled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,27 +23,6 @@ namespace {
 using bdd::Bdd;
 using bdd::Var;
 using expr::Expr;
-using image::ImageStrategy;
-
-// --------------------------------------------------------------------------
-// Strategy spellings
-// --------------------------------------------------------------------------
-
-TEST(ImageStrategyTest, SpellingsRoundTrip) {
-  for (const ImageStrategy s :
-       {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-        ImageStrategy::kChaining}) {
-    ImageStrategy parsed{};
-    ASSERT_TRUE(image::image_strategy_from_string(image::to_string(s),
-                                                  &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  ImageStrategy out = ImageStrategy::kChaining;
-  EXPECT_FALSE(image::image_strategy_from_string("Monolithic", &out));
-  EXPECT_FALSE(image::image_strategy_from_string("", &out));
-  EXPECT_FALSE(image::image_strategy_from_string("saturation", &out));
-  EXPECT_EQ(out, ImageStrategy::kChaining);  // Untouched on failure.
-}
 
 // --------------------------------------------------------------------------
 // Dependency matrix on a hand-built model
@@ -168,7 +147,6 @@ TEST(PartitionedRelationTest, ClusteringIsDeterministicAndComplete) {
   EXPECT_EQ(ra.partial_count(), rb.partial_count());
   EXPECT_EQ(ra.cluster_count(), rb.cluster_count());
   EXPECT_EQ(ra.parts_per_cluster(), rb.parts_per_cluster());
-  EXPECT_EQ(ra.chain_order(), rb.chain_order());
 
   // Every partial lands in exactly one cluster.
   std::size_t total = 0;
@@ -177,20 +155,34 @@ TEST(PartitionedRelationTest, ClusteringIsDeterministicAndComplete) {
   EXPECT_EQ(ra.largest_cluster(),
             *std::max_element(ra.parts_per_cluster().begin(),
                               ra.parts_per_cluster().end()));
-
-  // The chain order visits each cluster exactly once.
-  std::set<std::size_t> visited(ra.chain_order().begin(),
-                                ra.chain_order().end());
-  EXPECT_EQ(visited.size(), ra.cluster_count());
 }
 
 // --------------------------------------------------------------------------
-// Strategy parity
+// Agreement with the monolithic reference
 // --------------------------------------------------------------------------
 
-/// On one relation (one manager), every strategy must return the
-/// *identical* canonical BDD for images and preimages of assorted sets.
-TEST(PartitionedRelationTest, StrategiesAgreeNodeForNode) {
+/// The simplest correct image engine, kept test-local: one `and_exists`
+/// over the full conjunction per step, renamed between current and next
+/// variables with `permute`.
+Bdd reference_image(const fsm::SymbolicFsm& f, const Bdd& states) {
+  return f.mgr().and_exists(states, f.relation().monolithic(),
+                            f.mgr().cube(f.current_vars()));
+}
+Bdd reference_preimage(const fsm::SymbolicFsm& f, const Bdd& states_next) {
+  return f.mgr().and_exists(states_next, f.relation().monolithic(),
+                            f.mgr().cube(f.next_vars()));
+}
+Bdd reference_forward(const fsm::SymbolicFsm& f, const Bdd& states) {
+  return f.to_current(reference_image(f, states));
+}
+Bdd reference_backward(const fsm::SymbolicFsm& f, const Bdd& states) {
+  return reference_preimage(f, f.to_next(states));
+}
+
+/// On one relation (one manager), the clustered product must return the
+/// *identical* canonical BDD as the monolithic reference for images and
+/// preimages of assorted sets.
+TEST(PartitionedRelationTest, MatchesMonolithicReferenceNodeForNode) {
   const fsm::SymbolicFsm f(
       circuits::make_token_ring(circuits::TokenRingSpec{8, 2}));
   const image::PartitionedRelation& rel = f.relation();
@@ -199,20 +191,16 @@ TEST(PartitionedRelationTest, StrategiesAgreeNodeForNode) {
                            f.reachable(f.initial_states())};
   sets.push_back(sets[0] | f.forward(sets[0]));
   for (const Bdd& s : sets) {
-    const Bdd img = rel.image(s, ImageStrategy::kMonolithic);
-    EXPECT_EQ(img, rel.image(s, ImageStrategy::kPartitioned));
-    EXPECT_EQ(img, rel.image(s, ImageStrategy::kChaining));
-
-    const Bdd pre = rel.preimage(f.to_next(s), ImageStrategy::kMonolithic);
-    EXPECT_EQ(pre, rel.preimage(f.to_next(s), ImageStrategy::kPartitioned));
-    EXPECT_EQ(pre, rel.preimage(f.to_next(s), ImageStrategy::kChaining));
+    EXPECT_EQ(rel.image(s), reference_image(f, s));
+    EXPECT_EQ(rel.preimage(f.to_next(s)), reference_preimage(f, f.to_next(s)));
+    EXPECT_EQ(f.forward(s), reference_forward(f, s));
+    EXPECT_EQ(f.backward(s), reference_backward(f, s));
   }
 }
 
-/// Reachable sets, ring decompositions and state counts must agree
-/// across strategies on every benchmark circuit (separate managers, so
-/// the comparison is on counts and ring shapes).
-TEST(ImageStrategyParityTest, FixpointsAgreeAcrossCircuits) {
+/// Reachable sets, BFS rings and preimages of the production FSM must
+/// equal the monolithic reference's on every benchmark circuit.
+TEST(PartitionedRelationTest, FixpointsMatchMonolithicReference) {
   const std::vector<model::Model> models = {
       circuits::make_mod_counter(circuits::CounterSpec{}),
       circuits::make_priority_buffer(circuits::PriorityBufferSpec{}),
@@ -221,36 +209,24 @@ TEST(ImageStrategyParityTest, FixpointsAgreeAcrossCircuits) {
       circuits::make_token_ring(circuits::TokenRingSpec{6, 2}),
   };
   for (const model::Model& m : models) {
-    double reached_count = -1.0;
-    std::size_t ring_count = 0;
-    std::vector<double> ring_sizes;
-    for (const ImageStrategy strategy :
-         {ImageStrategy::kMonolithic, ImageStrategy::kPartitioned,
-          ImageStrategy::kChaining}) {
-      SCOPED_TRACE(m.name() + std::string(" under ") +
-                   image::to_string(strategy));
-      const fsm::SymbolicFsm f(m, 0, strategy);
-      EXPECT_EQ(f.image_strategy(), strategy);
-      const Bdd reached = f.reachable(f.initial_states());
-      const double count = f.count_states(reached);
+    SCOPED_TRACE(m.name());
+    const fsm::SymbolicFsm f(m);
 
-      // forward_rings is strict BFS under every strategy (the ring
-      // decomposition is part of the trace contract), so sizes must
-      // match exactly, not just the union.
-      const std::vector<Bdd> rings = f.forward_rings(f.initial_states());
-      std::vector<double> sizes;
-      for (const Bdd& r : rings) sizes.push_back(f.count_states(r));
-
-      if (reached_count < 0.0) {
-        reached_count = count;
-        ring_count = rings.size();
-        ring_sizes = sizes;
-      } else {
-        EXPECT_EQ(count, reached_count);
-        EXPECT_EQ(rings.size(), ring_count);
-        EXPECT_EQ(sizes, ring_sizes);
-      }
+    // forward_rings is strict BFS (the ring decomposition is part of the
+    // trace contract), so every ring must match, not just the union.
+    std::vector<Bdd> expected{f.initial_states()};
+    Bdd reached = f.initial_states();
+    while (true) {
+      const Bdd ring = reference_forward(f, expected.back()) - reached;
+      if (ring.is_false()) break;
+      expected.push_back(ring);
+      reached |= ring;
     }
+    EXPECT_EQ(f.forward_rings(f.initial_states()), expected);
+    EXPECT_EQ(f.reachable(f.initial_states()), reached);
+    EXPECT_EQ(f.backward(reached), reference_backward(f, reached));
+    EXPECT_EQ(f.backward(f.initial_states()),
+              reference_backward(f, f.initial_states()));
   }
 }
 

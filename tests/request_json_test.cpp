@@ -63,7 +63,6 @@ void expect_same_request(const CoverageRequest& a, const CoverageRequest& b) {
   EXPECT_EQ(a.uncovered_limit, b.uncovered_limit);
   EXPECT_EQ(a.want_traces, b.want_traces);
   EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.shard_mode, b.shard_mode);
   EXPECT_EQ(a.table_mode, b.table_mode);
   EXPECT_EQ(a.options.parallel_apply, b.options.parallel_apply);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
@@ -124,7 +123,6 @@ TEST(RequestJsonTest, MinimalInputGetsDefaults) {
   EXPECT_EQ(req.uncovered_limit, 4u);
   EXPECT_FALSE(req.want_traces);
   EXPECT_EQ(req.shards, 1u);
-  EXPECT_EQ(req.shard_mode, engine::ShardMode::kSharedManager);
   EXPECT_EQ(req.table_mode, bdd::TableMode::kLockFree);
   EXPECT_EQ(req.options.parallel_apply, 0u);  // Serial, by omission.
   EXPECT_EQ(req.deadline_ms, 0u);       // Unlimited, spelled by omission.
@@ -232,19 +230,14 @@ TEST(FuzzCorpusTest, GoodRequestsSurviveBothParsersAndReserialize) {
   }
 }
 
-TEST(FuzzCorpusTest, ShardModeRoundTripsThroughTheCorpusForms) {
-  const CoverageRequest replicated = engine::request_from_json(
+TEST(FuzzCorpusTest, ShardingRoundTripsThroughTheCorpusForms) {
+  const CoverageRequest sharded = engine::request_from_json(
       read_file(corpus_files("good_request")[0].parent_path() /
                 "full_sharded.json"));
-  EXPECT_EQ(replicated.shard_mode, engine::ShardMode::kReplicated);
-  EXPECT_EQ(replicated.shards, 4u);
-  const CoverageRequest shared = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "shard_mode_shared.json"));
-  EXPECT_EQ(shared.shard_mode, engine::ShardMode::kSharedManager);
+  EXPECT_EQ(sharded.shards, 4u);
   // Unstated table_mode defaults to the lock-free table; the explicit
   // corpus form selects the striped baseline.
-  EXPECT_EQ(shared.table_mode, bdd::TableMode::kLockFree);
+  EXPECT_EQ(sharded.table_mode, bdd::TableMode::kLockFree);
   const CoverageRequest striped = engine::request_from_json(
       read_file(corpus_files("good_request")[0].parent_path() /
                 "table_mode_striped.json"));

@@ -6,9 +6,8 @@
 // engine and — the tentpole invariant — that the verification phase ran
 // exactly once per suite (`PhaseStats::passes`). Also exercises the
 // bdd.h shared mode directly (concurrent node construction stays
-// canonical; unregistered threads are rejected) and the replicated
-// baseline for contrast (its verify.passes counts every shard). Built
-// for the sanitizer CI matrix: every assertion here runs under TSan and
+// canonical; unregistered threads are rejected). Built for the
+// sanitizer CI matrix: every assertion here runs under TSan and
 // ASan+UBSan.
 #include <gtest/gtest.h>
 
@@ -34,7 +33,6 @@ using engine::Engine;
 using engine::Executor;
 using engine::ExecutorOptions;
 using engine::JobHandle;
-using engine::ShardMode;
 using engine::SuiteResult;
 
 const char* kModels[] = {"counter.cov", "arbiter.cov", "handshake.cov",
@@ -61,13 +59,11 @@ const char* table_mode_name(bdd::TableMode mode) {
 
 CoverageRequest traced_request(
     const char* name, std::size_t shards,
-    ShardMode mode = ShardMode::kSharedManager,
     bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
   CoverageRequest req;
   req.model_path = model_path(name);
   req.want_traces = true;  // Trace generation must also be shard-safe.
   req.shards = shards;
-  req.shard_mode = mode;
   req.table_mode = table_mode;
   return req;
 }
@@ -99,9 +95,7 @@ TEST(SharedShardStressTest, EveryModelEveryShardCountMatchesSerial) {
       for (const bdd::TableMode table_mode : kTableModes) {
         Executor ex{ExecutorOptions{4, nullptr}};
         const SuiteResult r =
-            ex.submit(traced_request(m, shards, ShardMode::kSharedManager,
-                                     table_mode))
-                .take();
+            ex.submit(traced_request(m, shards, table_mode)).take();
         EXPECT_TRUE(r.error.empty()) << m << ": " << r.error;
         EXPECT_EQ(canonical(r), serial_expectations().at(m))
             << m << " shards=" << shards
@@ -118,8 +112,7 @@ TEST(SharedShardStressTest, EveryModelEveryShardCountMatchesSerial) {
 
 TEST(SharedShardStressTest, VerifyingEventsFireOncePerProperty) {
   // The event-stream view of the same invariant: a sharded suite emits
-  // exactly one kVerifying event per property (a replicated run would
-  // emit one per property per shard).
+  // exactly one kVerifying event per property.
   CoverageRequest req = traced_request("handshake.cov", 4);  // 3 properties.
   std::atomic<std::size_t> verifying{0};
   std::atomic<std::size_t> rows{0};
@@ -162,8 +155,8 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
     std::vector<JobHandle> handles;
     handles.reserve(deck.size());
     for (const Spec& s : deck) {
-      handles.push_back(ex.submit(traced_request(
-          s.model, s.shards, ShardMode::kSharedManager, s.table_mode)));
+      handles.push_back(
+          ex.submit(traced_request(s.model, s.shards, s.table_mode)));
     }
     for (std::size_t i = 0; i < deck.size(); ++i) {
       const SuiteResult r = handles[i].take();
@@ -175,43 +168,6 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
       EXPECT_EQ(r.verify.passes, 1u);
     }
   }
-}
-
-TEST(SharedShardStressTest, ReplicatedModeAgreesButPaysVerificationPerShard) {
-  // The baseline the tentpole eliminates: byte-identical rows, but
-  // verify.passes records one verification per elaborated shard.
-  CoverageRequest req = traced_request("arbiter.cov", 2,
-                                       ShardMode::kReplicated);
-  Executor ex{ExecutorOptions{4, nullptr}};
-  const SuiteResult r = ex.submit(req).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(canonical(r), serial_expectations().at("arbiter.cov"));
-  EXPECT_EQ(r.verify.passes, 2u);  // Both shards re-verified.
-  EXPECT_EQ(r.elaborate.passes, 2u);
-}
-
-TEST(SharedShardStressTest, ReplicatedOnOneWorkerStaysSerialNotShared) {
-  // A replicated request whose task count clamps to 1 (any 1-worker
-  // executor) must run as one serial task — not fall through to the
-  // shared-manager fan-out it explicitly opted out of. Observable via
-  // the events' shard count: the shared path would report the
-  // effective estimator-thread count (2 here), the serial task 1.
-  CoverageRequest req = traced_request("arbiter.cov", 4,
-                                       ShardMode::kReplicated);
-  std::atomic<std::size_t> max_event_shards{0};
-  engine::JobHooks hooks;
-  hooks.on_event = [&](const engine::JobEvent& e) {
-    std::size_t seen = max_event_shards.load();
-    while (e.shards > seen &&
-           !max_event_shards.compare_exchange_weak(seen, e.shards)) {
-    }
-  };
-  Executor ex{ExecutorOptions{1, nullptr}};
-  const SuiteResult r = ex.submit(req, hooks).take();
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(canonical(r), serial_expectations().at("arbiter.cov"));
-  EXPECT_EQ(max_event_shards.load(), 1u);
-  EXPECT_EQ(r.verify.passes, 1u);  // One replica task = one verification.
 }
 
 TEST(SharedShardStressTest, SessionRunFansOutWithoutAnExecutor) {
