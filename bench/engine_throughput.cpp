@@ -1,7 +1,7 @@
 // Suite-throughput benchmark for the engine layer: how many coverage
 // suites per second the `engine::Executor` sustains at different worker
 // counts, plus intra-suite sharding (verify once, estimate on K threads
-// over one manager) under both shared-table modes.
+// over one shared manager).
 // `bench/run_bench.sh` runs it over the example-model manifest and
 // writes BENCH_engine.json so the engine layer has a perf trajectory PR
 // over PR (the BDD layer has had one since PR 1).
@@ -74,19 +74,11 @@ std::vector<std::string> benchmark_names(const Config& config) {
   const std::string suffix = "/shards:" + std::to_string(config.shards) +
                              "/jobs:" + std::to_string(shard_workers);
   names.push_back("sharded_suite/mode:shared_manager/table:lockfree" + suffix);
-  names.push_back("sharded_suite/mode:shared_manager/table:striped" + suffix);
   const std::string jobs_suffix = "/jobs:" + std::to_string(shard_workers);
   names.push_back("server_loopback/cache:off" + jobs_suffix);
   names.push_back("server_loopback/cache:on" + jobs_suffix);
   names.push_back("token_ring/cells:" + std::to_string(kRingCells) +
                   jobs_suffix);
-  // In-operation parallelism always runs at jobs:1 so the row isolates
-  // the work-stealing parallel apply from suite-level fan-out.
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    names.push_back("parallel_apply/workers:" + std::to_string(workers) +
-                    "/cells:" + std::to_string(kRingCells) + "/jobs:1");
-  }
   names.push_back("gc_under_load/reclaim:on" + suffix);
   names.push_back("gc_under_load/reclaim:off" + suffix);
   return names;
@@ -151,8 +143,7 @@ Measurement run_batch(std::size_t workers,
 }
 
 Measurement measure(const Config& config, std::size_t workers,
-                    std::size_t shards, std::string name,
-                    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
+                    std::size_t shards, std::string name) {
   std::vector<engine::CoverageRequest> requests;
   requests.reserve(config.models.size() * config.repeat);
   for (std::size_t r = 0; r < config.repeat; ++r) {
@@ -161,56 +152,29 @@ Measurement measure(const Config& config, std::size_t workers,
       req.model_path = path;
       req.uncovered_limit = 0;  // Keep the measurement estimation-pure.
       req.shards = shards;
-      req.table_mode = table_mode;
       requests.push_back(std::move(req));
     }
   }
   return run_batch(workers, std::move(requests), std::move(name));
 }
 
-/// `repeat` copies of a token-ring request over the `tok1` row
-/// (in-memory model, so no .cov file is involved), carrying the ring's
-/// safety suite when `safety_suite` is set.
-std::vector<engine::CoverageRequest> ring_requests(const Config& config,
-                                                   bool safety_suite) {
+/// The token-ring configuration: `repeat` copies of the ring's safety
+/// suite over the `tok1` row (in-memory model, so no .cov file is
+/// involved) through the executor — an image-bound workload.
+Measurement measure_token_ring(const Config& config, std::size_t workers,
+                               std::string name) {
   const circuits::TokenRingSpec spec{kRingCells, 2};
   std::vector<engine::CoverageRequest> requests(config.repeat);
   for (engine::CoverageRequest& req : requests) {
     req.model = circuits::make_token_ring(spec);
-    if (safety_suite) {
-      for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
-        req.properties.push_back(engine::PropertySpec::of(f, {"tok1"}));
-      }
+    for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
+      req.properties.push_back(engine::PropertySpec::of(f, {"tok1"}));
     }
     req.signals = {"tok1"};
     req.uncovered_limit = 0;
   }
-  return requests;
-}
-
-/// The token-ring configuration: the ring's safety suite through the
-/// executor — an image-bound workload.
-Measurement measure_token_ring(const Config& config, std::size_t workers,
-                               std::string name) {
-  return run_batch(workers, ring_requests(config, true), std::move(name),
+  return run_batch(workers, std::move(requests), std::move(name),
                    /*must_hold=*/true);
-}
-
-/// The in-operation parallelism configuration: the token-ring request
-/// at jobs=1, everything identical except
-/// `CoverageOptions::parallel_apply` — so the rows isolate the
-/// work-stealing fork/join inside each BDD operation from suite-level
-/// fan-out. workers:1 runs the fork/join machinery with no helper
-/// threads (the scheduling-overhead baseline); results are
-/// byte-identical to serial throughout, so the ratios are pure
-/// schedule cost / speedup.
-Measurement measure_parallel_apply(const Config& config, std::size_t workers,
-                                   std::string name) {
-  std::vector<engine::CoverageRequest> requests = ring_requests(config, false);
-  for (engine::CoverageRequest& req : requests) {
-    req.options.parallel_apply = static_cast<std::uint32_t>(workers);
-  }
-  return run_batch(1, std::move(requests), std::move(name));
 }
 
 /// The gc-under-load configuration: the sharded shared-manager workload
@@ -377,28 +341,15 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
   }
 
-  // Intra-suite sharding (verify once per suite, rows on K threads over
-  // one shared manager) under both table modes: the lock-free unique
-  // table/wait-free cache against the striped-lock baseline. The ratio
-  // needs real cores to mean anything.
+  // Intra-suite sharding: verify once per suite, rows on K threads over
+  // one shared manager.
   const std::size_t shard_workers =
       *std::max_element(config.jobs.begin(), config.jobs.end());
-  Measurement shared = measure(config, shard_workers, config.shards,
-                               names[name_index++], bdd::TableMode::kLockFree);
-  Measurement shared_striped =
-      measure(config, shard_workers, config.shards, names[name_index++],
-              bdd::TableMode::kStriped);
-  for (const Measurement* m : {&shared, &shared_striped}) {
-    std::printf("%s: %.1f suites/sec, %zu verify passes\n", m->name.c_str(),
-                m->suites_per_sec, m->verify_passes);
-    measurements.push_back(*m);
-  }
-  const double table_speedup =
-      shared_striped.suites_per_sec > 0.0
-          ? shared.suites_per_sec / shared_striped.suites_per_sec
-          : 0.0;
-  std::printf("lockfree vs striped at shards=%zu: %.2fx\n", config.shards,
-              table_speedup);
+  const Measurement shared = measure(config, shard_workers, config.shards,
+                                     names[name_index++]);
+  std::printf("%s: %.1f suites/sec, %zu verify passes\n", shared.name.c_str(),
+              shared.suites_per_sec, shared.verify_passes);
+  measurements.push_back(shared);
 
   // Server loopback: the covest_serve wire path end to end. The cache:on
   // column is the warm-cache story — after round one every suite leases
@@ -422,27 +373,6 @@ int main(int argc, char** argv) {
       measure_token_ring(config, shard_workers, names[name_index++]);
   std::printf("%s: %.1f suites/sec\n", ring.name.c_str(), ring.suites_per_sec);
   measurements.push_back(ring);
-
-  // In-operation parallelism: the work-stealing parallel apply at each
-  // worker count on the same ring suite, jobs pinned to 1. workers:1 is
-  // the machinery-overhead baseline; workers:4 over it is the speedup
-  // (or, on a 1-core container, the scheduling cost).
-  Measurement par1 =
-      measure_parallel_apply(config, 1, names[name_index++]);
-  Measurement par2 =
-      measure_parallel_apply(config, 2, names[name_index++]);
-  Measurement par4 =
-      measure_parallel_apply(config, 4, names[name_index++]);
-  for (const Measurement* m : {&par1, &par2, &par4}) {
-    std::printf("%s: %.1f suites/sec\n", m->name.c_str(), m->suites_per_sec);
-    measurements.push_back(*m);
-  }
-  const double parallel_apply_speedup =
-      par1.suites_per_sec > 0.0 ? par4.suites_per_sec / par1.suites_per_sec
-                                : 0.0;
-  std::printf("parallel_apply workers=4 vs workers=1 on token_ring(%u): "
-              "%.2fx\n",
-              kRingCells, parallel_apply_speedup);
 
   // GC under load: the same sharded workload with concurrent epoch
   // collections forced on against reclamation effectively off. The
@@ -495,13 +425,8 @@ int main(int argc, char** argv) {
                    "jobs=2.\",\n");
     }
     std::fprintf(out, "  \"speedup_max_jobs_vs_1\": %.3f,\n", speedup);
-    std::fprintf(out, "  \"lockfree_vs_striped_speedup\": %.3f,\n",
-                 table_speedup);
     std::fprintf(out, "  \"warm_cache_vs_cold_speedup\": %.3f,\n",
                  cache_speedup);
-    std::fprintf(out,
-                 "  \"parallel_apply_4_vs_1_speedup\": %.3f,\n",
-                 parallel_apply_speedup);
     std::fprintf(out, "  \"gc_reclaim_on_vs_off_speedup\": %.3f\n}\n",
                  gc_speedup);
     std::fclose(out);

@@ -3,15 +3,13 @@
 #   BENCH_bdd.json    — BDD microbenchmarks (google-benchmark JSON:
 #                       cpu_time in ns per op, plus peak_live_nodes /
 #                       cache_hit_rate counters), including the
-#                       shared-mode table-mode burst comparison
-#                       (BM_SharedMakeNodeBurstStriped vs
-#                       BM_SharedMakeNodeBurstLockFree)
+#                       shared-mode make_node burst
+#                       (BM_SharedMakeNodeBurstLockFree)
 #   BENCH_engine.json — engine-layer suite throughput (suites/sec over
 #                       the example-model manifest at --jobs 1, 2, 4,
 #                       via bench/engine_throughput and the executor),
 #                       plus intra-suite sharding (verify once, rows on
-#                       K threads over one shared BddManager; measured
-#                       under both table_mode=lockfree and striped),
+#                       K threads over one shared BddManager),
 #                       plus the server_loopback family: the
 #                       covest_serve wire path end to end (an in-process
 #                       CovestServer on 127.0.0.1), cache:off against
@@ -121,8 +119,7 @@ echo "wrote ${OUT_JSON}"
 
 # Engine-layer suite throughput: every example model's default suite,
 # repeated, fanned out through the executor at 1/2/4 workers, then the
-# shards=4 table-mode comparison and the token-ring, parallel-apply and
-# gc-under-load families.
+# shards=4 sharded suite and the token-ring and gc-under-load families.
 "${BUILD_DIR}/engine_throughput" \
   --repeat "${ENGINE_REPEAT}" \
   --jobs 1,2,4 \

@@ -57,20 +57,12 @@ void usage(std::FILE* to) {
       "  --jobs N     worker threads (default 1; 0 = hardware threads)\n"
       "  --shards K   verify each suite once, estimate its signal rows\n"
       "               on up to K threads over one shared manager\n"
-      "  --table-mode lockfree|striped\n"
-      "               shared-manager synchronization: the lock-free\n"
-      "               unique table + wait-free cache (default) or the\n"
-      "               striped-lock baseline; results are byte-identical\n"
       "  --deadline-ms N\n"
       "               per-job wall-clock budget; an expired job emits a\n"
       "               partial result with status deadline_exceeded\n"
       "  --max-nodes N\n"
       "               per-job BDD node budget; exhaustion emits status\n"
       "               resource_exhausted\n"
-      "  --parallel-apply N\n"
-      "               in-operation parallelism: each job's BDD applies\n"
-      "               fork across N work-stealing workers; results are\n"
-      "               byte-identical to serial\n"
       "  --max-queue N\n"
       "               bound the executor queue; submission blocks for\n"
       "               room (backpressure) instead of growing unbounded\n"
@@ -127,32 +119,11 @@ int main(int argc, char** argv) {
         usage(stderr);
         return 2;
       }
-    } else if (std::strcmp(arg, "--parallel-apply") == 0) {
-      if (i + 1 >= argc ||
-          !parse_count(argv[++i], &options.defaults.parallel_apply) ||
-          options.defaults.parallel_apply == 0) {
-        std::fprintf(stderr,
-                     "error: --parallel-apply needs a positive integer\n\n");
-        usage(stderr);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--max-queue") == 0) {
       if (i + 1 >= argc || !parse_count(argv[++i], &options.max_queue) ||
           options.max_queue == 0) {
         std::fprintf(stderr,
                      "error: --max-queue needs a positive integer\n\n");
-        usage(stderr);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--table-mode") == 0) {
-      const char* mode = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(mode, "lockfree") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kLockFree;
-      } else if (std::strcmp(mode, "striped") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kStriped;
-      } else {
-        std::fprintf(stderr,
-                     "error: --table-mode needs 'lockfree' or 'striped'\n\n");
         usage(stderr);
         return 2;
       }

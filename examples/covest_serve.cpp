@@ -72,12 +72,6 @@ void usage(std::FILE* to) {
       "               max_live_nodes wins)\n"
       "  --shards K   default intra-suite estimation sharding (a\n"
       "               request's own shards value wins)\n"
-      "  --parallel-apply N\n"
-      "               default in-operation BDD parallelism (a request's\n"
-      "               own parallel_apply value wins); results stay\n"
-      "               byte-identical to serial\n"
-      "  --table-mode lockfree|striped\n"
-      "               shared-manager synchronization for sharded jobs\n"
       "  --cache N    warm model cache capacity in parked sessions\n"
       "               (default 8; 0 disables caching)\n"
       "  --max-connections N\n"
@@ -169,8 +163,6 @@ int main(int argc, char** argv) {
                           true) ||
                count_flag("--max-nodes", &options.defaults.max_nodes, true) ||
                count_flag("--shards", &options.defaults.shards, true) ||
-               count_flag("--parallel-apply",
-                          &options.defaults.parallel_apply, true) ||
                count_flag("--cache", &options.cache_sessions, false) ||
                count_flag("--max-connections", &options.max_connections,
                           true) ||
@@ -182,18 +174,6 @@ int main(int argc, char** argv) {
       options.gc_interval = gc_interval;
     } else if (std::strcmp(arg, "--gc-sift") == 0) {
       options.gc_sift = true;
-    } else if (std::strcmp(arg, "--table-mode") == 0) {
-      const char* mode = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(mode, "lockfree") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kLockFree;
-      } else if (std::strcmp(mode, "striped") == 0) {
-        options.defaults.table_mode = bdd::TableMode::kStriped;
-      } else {
-        std::fprintf(stderr,
-                     "error: --table-mode needs 'lockfree' or 'striped'\n\n");
-        usage(stderr);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--stats") == 0) {
       options.stats = true;
     } else if (std::strcmp(arg, "--help") == 0) {

@@ -5,21 +5,21 @@
 //
 //  * A node's fields (var/low/high) are written exactly once, before the
 //    node is *published*. Publication is a release edge matched by an
-//    acquire on the consumer side, and its shape depends on the epoch's
-//    TableMode:
-//      - kLockFree: the node is linked into its unique-subtable chain
-//        by a release `compare_exchange` on the bucket head; readers
-//        acquire-load the head (and each chain link). A bucket head
-//        only ever moves by prepending during an epoch — nothing is
-//        removed or rehashed — so CAS retries cannot ABA, and a reader
-//        that loses a race at worst walks a longer chain. The computed
-//        cache publishes through the seqlock stamp of its LfCacheEntry
-//        (release store of the even stamp, acquire load on the reader).
-//      - kStriped: the stripe mutexes double as the publication fence
-//        (the PR-4 scheme, kept selectable for benchmarking).
-//    Either way a thread can only learn a node's index through one of
-//    those release/acquire channels (or through a root handle created
-//    before the threads were spawned), so every cross-thread read of
+//    acquire on the consumer side, and there are exactly two such
+//    channels:
+//      - the unique table: the node is linked into its subtable chain by
+//        a release `compare_exchange` on the bucket head; readers
+//        acquire-load the head (and each chain link). A bucket head only
+//        ever moves by prepending during an epoch — nothing is removed
+//        or rehashed — so CAS retries cannot ABA, and a reader that
+//        loses a race at worst walks a longer chain;
+//      - the computed cache: a result index travels through the seqlock
+//        stamp of its LfCacheEntry (release store of the even stamp,
+//        acquire load on the reader), which the storer writes after the
+//        node's initializing writes.
+//    A thread can only learn a node's index through one of those
+//    release/acquire channels (or through a root handle created before
+//    the threads were spawned), so every cross-thread read of
 //    node fields is ordered after the initializing writes. Live node
 //    fields are never mutated while shared mode is on (reordering stays
 //    exclusive-mode); shared-mode collections mutate only *dead* nodes,
@@ -51,7 +51,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "bdd/parallel.h"
 #include "util/governance.h"
 
 namespace covest::bdd {
@@ -266,63 +265,41 @@ Bdd BddManager::cube(const std::vector<Var>& vars) {
 // Shared (sharded) mode
 // ---------------------------------------------------------------------------
 
-void BddManager::begin_shared(std::size_t max_threads, TableMode table_mode,
-                              const ParallelConfig& parallel) {
+void BddManager::begin_shared(std::size_t max_threads) {
   if (shared_mode_) {
     throw std::logic_error("BddManager::begin_shared: already in shared mode");
   }
   assert(owner_thread_ == std::this_thread::get_id() &&
          "begin_shared must be called by the owning thread");
   assert(!main_ctx_.in_operation && "begin_shared inside an operation");
-  // Pool helpers register as shard threads too: budget their contexts
-  // on top of the client threads the caller declared.
-  const std::size_t pool_helpers =
-      parallel.workers > 1 ? parallel.workers - 1 : 0;
-  shard_max_threads_ = std::max<std::size_t>(1, max_threads) + pool_helpers;
-  table_mode_ = table_mode;
-  if (table_mode_ == TableMode::kLockFree) {
-    // Pre-size every subtable while the manager is still exclusive: the
-    // lock-free epoch never resizes (rehashing would move chain links
-    // under concurrent readers), so give each table headroom now. An
-    // epoch that outgrows the headroom degrades to longer chains.
-    for (Var v = 0; v < subtables_.size(); ++v) {
-      std::size_t target = subtables_[v].buckets.size();
-      while (subtables_[v].count * 4 >= target) target *= 2;
-      if (target != subtables_[v].buckets.size()) rehash_subtable(v, target);
-    }
-    // The wait-free cache mirrors the exclusive cache's current
-    // (adaptively grown) size. Entries persist across epochs; their
-    // stored epoch word keeps them exactly as valid as striped/
-    // exclusive entries would be (clear_cache and gc bump the epoch).
-    if (lf_cache_size_ != cache_.size()) {
-      lf_cache_ = std::make_unique<LfCacheEntry[]>(cache_.size());
-      lf_cache_size_ = cache_.size();
-      lf_cache_mask_ = lf_cache_size_ - 1;
-    }
+  shard_max_threads_ = std::max<std::size_t>(1, max_threads);
+  // Pre-size every subtable while the manager is still exclusive: the
+  // lock-free epoch never resizes (rehashing would move chain links
+  // under concurrent readers), so give each table headroom now. An
+  // epoch that outgrows the headroom degrades to longer chains.
+  for (Var v = 0; v < subtables_.size(); ++v) {
+    std::size_t target = subtables_[v].buckets.size();
+    while (subtables_[v].count * 4 >= target) target *= 2;
+    if (target != subtables_[v].buckets.size()) rehash_subtable(v, target);
+  }
+  // The wait-free cache mirrors the exclusive cache's current
+  // (adaptively grown) size. Entries persist across epochs; their
+  // stored epoch word keeps them exactly as valid as exclusive entries
+  // would be (clear_cache and gc bump the epoch).
+  if (lf_cache_size_ != cache_.size()) {
+    lf_cache_ = std::make_unique<LfCacheEntry[]>(cache_.size());
+    lf_cache_size_ = cache_.size();
+    lf_cache_mask_ = lf_cache_size_ - 1;
   }
   shard_ctxs_.clear();
   shard_ctxs_.reserve(shard_max_threads_);
   shared_epoch_ = next_epoch_token();
   shared_mode_ = true;
-  if (parallel.workers >= 1) {
-    // Started after the epoch is open so the helper threads can
-    // register; they adopt this thread's governor (start() captures it).
-    par_pool_ = std::make_unique<ParallelPool>(
-        *this, pool_helpers, parallel.fork_threshold, shard_max_threads_);
-    par_pool_->start();
-  }
 }
 
 void BddManager::end_shared() {
   if (!shared_mode_) {
     throw std::logic_error("BddManager::end_shared without begin_shared");
-  }
-  if (par_pool_) {
-    // Helpers must quiesce while the epoch is still open (their exit
-    // path touches no manager state, but an in-flight stolen task
-    // does); their ThreadCtx deltas merge with everyone else's below.
-    par_pool_->stop_and_join();
-    par_pool_.reset();
   }
   shared_mode_ = false;
   for (const std::unique_ptr<ThreadCtx>& tc : shard_ctxs_) {
@@ -465,33 +442,7 @@ NodeIndex BddManager::make_node(Var v, NodeIndex low, NodeIndex high) {
 
   ThreadCtx& tc = shard_ctx();
   if (out_complement != 0) ++tc.stats.complement_canonicalizations;
-  if (table_mode_ == TableMode::kLockFree) {
-    return make_node_lockfree(tc, v, low, high) | out_complement;
-  }
-
-  // Striped mode: the variable's stripe lock covers lookup, insertion and
-  // resize, and doubles as the fence publishing the new node's fields.
-  std::lock_guard<std::mutex> lock(unique_mu_[v % kUniqueStripes]);
-  Subtable& st = subtables_[v];
-  const std::size_t bucket = subtable_bucket(v, low, high);
-  for (NodeIndex n = st.buckets[bucket]; n != kInvalidIndex;
-       n = node_at(n).next) {
-    if (node_at(n).low == low && node_at(n).high == high) {
-      ++tc.stats.unique_hits;
-      return n | out_complement;
-    }
-  }
-  ++tc.stats.unique_misses;
-  const NodeIndex n = allocate_node_shared(tc);
-  Node& node = node_at(n);
-  node.var = v;
-  node.low = low;
-  node.high = high;
-  node.next = st.buckets[bucket];
-  st.buckets[bucket] = n;
-  ++st.count;
-  maybe_resize_subtable(v);
-  return n | out_complement;
+  return make_node_lockfree(tc, v, low, high) | out_complement;
 }
 
 // Lock-free insert-if-absent. Chains only grow by prepending during an
@@ -609,8 +560,7 @@ NodeIndex BddManager::allocate_node_shared(ThreadCtx& tc) {
   if (tc.arena_next != tc.arena_end) {
     // Arena slots are freshly-created segment entries: fields and
     // refcount are already value-initialized, and no other thread can
-    // see the slot until it is published under the unique-table stripe
-    // lock.
+    // see the slot until its publishing CAS on the unique table.
     return tc.arena_next++;
   }
   std::lock_guard<std::mutex> lock(alloc_mu_);
@@ -681,8 +631,8 @@ void BddManager::rehash_subtable(Var v, std::size_t new_buckets) {
 }
 
 void BddManager::maybe_resize_subtable(Var v) {
-  // Exclusive mode and striped shared mode (under the stripe lock)
-  // only; a lock-free epoch pre-sizes instead (see begin_shared).
+  // Exclusive mode only; a shared epoch pre-sizes instead (see
+  // begin_shared).
   Subtable& st = subtables_[v];
   if (st.count < st.buckets.size()) return;
   rehash_subtable(v, st.buckets.size() * 2);
@@ -902,46 +852,30 @@ bool BddManager::cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
   ThreadCtx& tc = shard_ctx();
   ++tc.stats.cache_lookups;
 
-  if (table_mode_ == TableMode::kLockFree) {
-    // Wait-free read: one stamped snapshot, no retry. The acquire load
-    // of an even stamp pairs with the storing thread's release of that
-    // stamp, ordering the payload reads — and the node initializations
-    // behind `result` — after their writes. A torn snapshot (odd
-    // stamp, or the stamp moved under the payload) is simply a miss;
-    // the caller recomputes and arrives at the same canonical edge.
-    LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
-    const std::uint32_t s1 = e.seq.load(std::memory_order_acquire);
-    if ((s1 & 1u) != 0) return false;
-    const std::uint64_t ab = e.key_ab.load(std::memory_order_relaxed);
-    const std::uint64_t cop = e.key_cop.load(std::memory_order_relaxed);
-    const std::uint64_t er = e.epoch_result.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (e.seq.load(std::memory_order_relaxed) != s1) return false;
-    // Snapshot is consistent: now (and only now) validate the full key,
-    // so an overwrite race can cost a recomputation but never alias.
-    if (ab != ((static_cast<std::uint64_t>(a) << 32) | b) ||
-        cop != ((static_cast<std::uint64_t>(c) << 32) | op) ||
-        (er >> 32) != cache_epoch_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    *out = static_cast<NodeIndex>(er);
-    ++tc.stats.cache_hits;
-    return true;
+  // Wait-free read: one stamped snapshot, no retry. The acquire load
+  // of an even stamp pairs with the storing thread's release of that
+  // stamp, ordering the payload reads — and the node initializations
+  // behind `result` — after their writes. A torn snapshot (odd
+  // stamp, or the stamp moved under the payload) is simply a miss;
+  // the caller recomputes and arrives at the same canonical edge.
+  LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
+  const std::uint32_t s1 = e.seq.load(std::memory_order_acquire);
+  if ((s1 & 1u) != 0) return false;
+  const std::uint64_t ab = e.key_ab.load(std::memory_order_relaxed);
+  const std::uint64_t cop = e.key_cop.load(std::memory_order_relaxed);
+  const std::uint64_t er = e.epoch_result.load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (e.seq.load(std::memory_order_relaxed) != s1) return false;
+  // Snapshot is consistent: now (and only now) validate the full key,
+  // so an overwrite race can cost a recomputation but never alias.
+  if (ab != ((static_cast<std::uint64_t>(a) << 32) | b) ||
+      cop != ((static_cast<std::uint64_t>(c) << 32) | op) ||
+      (er >> 32) != cache_epoch_.load(std::memory_order_relaxed)) {
+    return false;
   }
-
-  // Striped mode: the stripe lock also publishes the nodes behind
-  // `e.result` — whoever stored the entry held this mutex after
-  // creating those nodes.
-  const std::size_t slot = hash & cache_mask_;
-  std::lock_guard<std::mutex> lock(cache_mu_[slot % kCacheStripes]);
-  const CacheEntry& e = cache_[slot];
-  if (e.epoch == cache_epoch_.load(std::memory_order_relaxed) &&
-      e.op == op && e.a == a && e.b == b && e.c == c) {
-    ++tc.stats.cache_hits;
-    *out = e.result;
-    return true;
-  }
-  return false;
+  *out = static_cast<NodeIndex>(er);
+  ++tc.stats.cache_hits;
+  return true;
 }
 
 void BddManager::maybe_grow_cache() {
@@ -973,54 +907,37 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
     return;
   }
 
-  if (table_mode_ == TableMode::kLockFree) {
-    // Wait-free write: claim the entry with one CAS to an odd stamp; a
-    // writer that loses (or finds another writer mid-store) just skips
-    // — the cache is lossy by contract, and the value being dropped is
-    // a memo, not state. The acquire on the claiming CAS keeps the
-    // payload stores after it; the release of the even stamp publishes
-    // them (and the nodes behind `result`) to any reader that acquires
-    // the stamp.
-    LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
-    std::uint32_t s = e.seq.load(std::memory_order_relaxed);
-    if ((s & 1u) != 0) return;
-    if (!e.seq.compare_exchange_strong(s, s + 1, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      return;
-    }
-    // Release fence before the payload stores: a reader whose relaxed
-    // payload loads observe any of these writes synchronizes (via its
-    // own acquire fence) with this fence, and therefore sees the odd
-    // stamp written above — so its stamp re-check fails and the torn
-    // snapshot is discarded. Without this edge, weakly-ordered hardware
-    // could make a payload store visible before the claim, letting a
-    // reader pair an old key with a new result.
-    std::atomic_thread_fence(std::memory_order_release);
-    e.key_ab.store((static_cast<std::uint64_t>(a) << 32) | b,
-                   std::memory_order_relaxed);
-    e.key_cop.store((static_cast<std::uint64_t>(c) << 32) | op,
-                    std::memory_order_relaxed);
-    e.epoch_result.store(
-        (static_cast<std::uint64_t>(
-             cache_epoch_.load(std::memory_order_relaxed))
-         << 32) |
-            result,
-        std::memory_order_relaxed);
-    e.seq.store(s + 2, std::memory_order_release);
+  // Wait-free write: claim the entry with one CAS to an odd stamp; a
+  // writer that loses (or finds another writer mid-store) just skips —
+  // the cache is lossy by contract, and the value being dropped is a
+  // memo, not state. The acquire on the claiming CAS keeps the payload
+  // stores after it; the release of the even stamp publishes them (and
+  // the nodes behind `result`) to any reader that acquires the stamp.
+  LfCacheEntry& e = lf_cache_[hash & lf_cache_mask_];
+  std::uint32_t s = e.seq.load(std::memory_order_relaxed);
+  if ((s & 1u) != 0) return;
+  if (!e.seq.compare_exchange_strong(s, s + 1, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
     return;
   }
-
-  // Striped mode: the table never grows (growth would move entries under
-  // concurrent readers); entries race only for their stripe lock.
-  const std::size_t slot = hash & cache_mask_;
-  std::lock_guard<std::mutex> lock(cache_mu_[slot % kCacheStripes]);
-  CacheEntry& e = cache_[slot];
-  e.op = op;
-  e.a = a;
-  e.b = b;
-  e.c = c;
-  e.result = result;
-  e.epoch = cache_epoch_.load(std::memory_order_relaxed);
+  // Release fence before the payload stores: a reader whose relaxed
+  // payload loads observe any of these writes synchronizes (via its own
+  // acquire fence) with this fence, and therefore sees the odd stamp
+  // written above — so its stamp re-check fails and the torn snapshot
+  // is discarded. Without this edge, weakly-ordered hardware could make
+  // a payload store visible before the claim, letting a reader pair an
+  // old key with a new result.
+  std::atomic_thread_fence(std::memory_order_release);
+  e.key_ab.store((static_cast<std::uint64_t>(a) << 32) | b,
+                 std::memory_order_relaxed);
+  e.key_cop.store((static_cast<std::uint64_t>(c) << 32) | op,
+                  std::memory_order_relaxed);
+  e.epoch_result.store(
+      (static_cast<std::uint64_t>(cache_epoch_.load(std::memory_order_relaxed))
+       << 32) |
+          result,
+      std::memory_order_relaxed);
+  e.seq.store(s + 2, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -1044,8 +961,7 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
 //     sweep's writes are visible and the thread demonstrably started
 //     its current window after the collection).
 //   * All handshake accesses are seq_cst operations on atomics — no
-//     fences over plain memory — for the same TSan-friendliness reasons
-//     as the task deques (see parallel.h).
+//     fences over plain memory — so TSan models the protocol exactly.
 
 void BddManager::shared_op_enter(ThreadCtx& tc) {
   for (;;) {
@@ -1114,8 +1030,7 @@ std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
 
   // Exclusive access from here to the pause release. Mark from
   // refcounted roots, exactly like exclusive gc(): any node a handle
-  // can reach is live; parallel-apply helpers hold no roots between
-  // tasks (fully-strict joins end inside the client's gate).
+  // can reach is live.
   next_generation(tc);
   std::size_t live = 0;
   const NodeIndex end = allocated();

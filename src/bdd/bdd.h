@@ -74,22 +74,16 @@
 //        while other threads grow the pool. Threads allocate fresh
 //        slots from per-thread arenas refilled in blocks under one
 //        allocation mutex.
-//      - The per-variable unique subtables and the computed cache are
-//        synchronized according to the epoch's `TableMode`:
-//          `kLockFree` (the default) — insert-if-absent via a
-//          `compare_exchange` on the bucket head, publication by
-//          release/acquire edges instead of mutex fences, and a
-//          wait-free lossy computed cache of seqlock-stamped entries
-//          (racing writers may overwrite; readers revalidate the full
-//          key and treat any tear as a miss — nothing ever blocks).
-//          Subtables are pre-sized at `begin_shared` and never resized
-//          during the epoch, so lookups are tombstone-free and safe
-//          against concurrent growth; an overfull table degrades to
-//          longer chains, never to a data race.
-//          `kStriped` — the PR-4 baseline: a striped lock array per
-//          structure (`var % kUniqueStripes`, cache slot %
-//          kCacheStripes); the mutexes double as the publication
-//          fence. Kept selectable for benchmarking the trade-off.
+//      - The per-variable unique subtables are lock-free:
+//        insert-if-absent via a `compare_exchange` on the bucket head,
+//        publication by release/acquire edges. The computed cache is a
+//        wait-free lossy table of seqlock-stamped entries (racing
+//        writers may overwrite; readers revalidate the full key and
+//        treat any tear as a miss — nothing ever blocks). Subtables
+//        are pre-sized at `begin_shared` and never resized during the
+//        epoch, so lookups are tombstone-free and safe against
+//        concurrent growth; an overfull table degrades to longer
+//        chains, never to a data race.
 //      - All traversal scratch (generation stamps, work stack,
 //        sat-count memo, support marks) moves into per-thread contexts
 //        created at registration, so the generation-stamp protocol
@@ -104,9 +98,7 @@
 //    thread, or a volunteer when pool occupancy crosses the GC
 //    threshold) raises `pause_requested_`, waits until every
 //    registered thread is between operations (raw unreferenced
-//    intermediates only exist *inside* an operation; pool helper
-//    threads are covered too, because every stolen task is joined
-//    before its forking operation returns), then marks from the
+//    intermediates only exist *inside* an operation), then marks from the
 //    refcounted roots and sweeps dead nodes onto a *retire batch*
 //    stamped with the global reclamation epoch. Retired slots rejoin
 //    the free list only after a full grace period — every
@@ -116,8 +108,8 @@
 //    and `live_node_count` still throw `std::logic_error` while shared
 //    mode is on. Each registered thread sees the exact same canonical
 //    BDDs, so results are bit-identical to an exclusive-mode
-//    computation under either table mode — collections only remove
-//    unreachable nodes, which canonicity makes unobservable.
+//    computation — collections only remove unreachable nodes, which
+//    canonicity makes unobservable.
 #pragma once
 
 #include <array>
@@ -166,41 +158,6 @@ constexpr NodeIndex edge_not(NodeIndex e) { return e ^ kComplementBit; }
 constexpr bool edge_is_terminal(NodeIndex e) { return edge_node(e) == 0; }
 
 class BddManager;
-class ParallelPool;
-
-/// How a shared-mode epoch synchronizes the unique tables and the
-/// computed cache (see the header comment). Exclusive mode ignores it:
-/// the unsynchronized fast paths always apply there.
-enum class TableMode {
-  /// Striped mutexes (the PR-4 baseline, kept for comparison).
-  kStriped,
-  /// CAS-chained lock-free unique table + wait-free lossy computed
-  /// cache. The default: same-variable `make_node` bursts no longer
-  /// serialize on a stripe.
-  kLockFree,
-};
-
-/// Work-stealing parallel-apply configuration for a shared epoch (see
-/// bdd/parallel.h). When `workers >= 1` the epoch routes apply
-/// (AND/OR/XOR/ITE), exists/forall and and_exists through fork/join
-/// recursion over a Chase–Lev task-deque pool; results are
-/// byte-identical to the serial cores by canonicity. `workers - 1`
-/// helper threads are spawned (so `workers == 1` exercises the forking
-/// machinery single-threaded) and counted against the epoch's
-/// registration capacity automatically.
-struct ParallelConfig {
-  /// 8 keeps subproblems spanning fewer than 8 levels sequential — fine
-  /// enough to feed thieves on every model in the corpus, coarse enough
-  /// that leaf recursion dominates task bookkeeping.
-  static constexpr std::uint32_t kDefaultForkThreshold = 8;
-
-  /// Total worker threads for in-operation parallelism; 0 = serial
-  /// recursion (today's behavior).
-  std::size_t workers = 0;
-  /// Fork a cofactor split only when at least this many variable levels
-  /// remain below the split point: 0 = always fork, huge = never fork.
-  std::uint32_t fork_threshold = kDefaultForkThreshold;
-};
 
 /// RAII handle to a BDD edge. While at least one `Bdd` references a node,
 /// that node and all its descendants survive garbage collection.
@@ -459,9 +416,8 @@ class BddManager {
   /// Marks the calling registered thread passive: it promises not to
   /// touch the manager again until its next operation (which clears
   /// the flag). Passive threads are skipped by the grace-period scan,
-  /// so a thread that finished its chunk early — or a pool helper that
-  /// only ever executes stolen tasks inside other threads' operations —
-  /// cannot stall reclamation forever. No-op in exclusive mode.
+  /// so a thread that finished its chunk early cannot stall
+  /// reclamation forever. No-op in exclusive mode.
   void mark_thread_passive();
 
   /// Node budget: when nonzero, growing the pool past `budget` occupied
@@ -516,26 +472,15 @@ class BddManager {
   // -- Shared (sharded) mode ---------------------------------------------------
 
   /// Enters shared mode: up to `max_threads` registered threads may
-  /// build nodes and traverse concurrently, synchronized per
-  /// `table_mode` (lock-free by default; striped locks selectable for
-  /// comparison). Must be called from the owning thread, outside any
-  /// operation. Until `end_shared`, `new_var`, reordering and
-  /// `live_node_count` throw `std::logic_error`; `gc` and
-  /// `clear_cache` are legal from registered threads (cooperative
-  /// pause + deferred reclamation, see the header comment). Under
-  /// `TableMode::kLockFree` the subtables are pre-sized here and the
-  /// epoch never resizes them.
-  ///
-  /// `parallel.workers >= 1` additionally starts a work-stealing pool
-  /// for in-operation parallelism (bdd/parallel.h): `workers - 1`
-  /// helper threads register as shard threads (on top of
-  /// `max_threads`), steal forked cofactor subproblems, and are joined
-  /// by `end_shared`. The run's ambient RunGovernor (if any) is adopted
-  /// by the helpers, so deadlines and node budgets fire inside a
-  /// parallel operation with the usual structured exceptions.
-  void begin_shared(std::size_t max_threads,
-                    TableMode table_mode = TableMode::kLockFree,
-                    const ParallelConfig& parallel = {});
+  /// build nodes and traverse concurrently through the lock-free unique
+  /// table and the wait-free computed cache; each operation recurses
+  /// serially on its calling thread. Must be called from the owning
+  /// thread, outside any operation. Until `end_shared`, `new_var`,
+  /// reordering and `live_node_count` throw `std::logic_error`; `gc`
+  /// and `clear_cache` are legal from registered threads (cooperative
+  /// pause + deferred reclamation, see the header comment). The
+  /// subtables are pre-sized here and the epoch never resizes them.
+  void begin_shared(std::size_t max_threads);
 
   /// Leaves shared mode: merges the per-thread statistics, returns
   /// unused arena slots to the free list, drains every outstanding
@@ -552,8 +497,6 @@ class BddManager {
   void register_shard_thread();
 
   bool in_shared_mode() const noexcept { return shared_mode_; }
-  /// Table mode of the current (or most recent) shared epoch.
-  TableMode shared_table_mode() const noexcept { return table_mode_; }
 
   // -- Test instrumentation ----------------------------------------------------
 
@@ -593,7 +536,6 @@ class BddManager {
 
  private:
   friend class Bdd;
-  friend class ParallelPool;  ///< Dispatches stolen tasks into par_*_rec.
 
   // 16 bytes; the traversal stamps live in the per-thread contexts so
   // the hot recursion paths keep four nodes per cache line.
@@ -634,8 +576,7 @@ class BddManager {
 
     // Reclamation protocol state (all seq_cst at the sites that matter:
     // the gate/collector handshake is a Dekker-style store-load pattern,
-    // spelled with operations rather than fences so TSan models it —
-    // same rationale as the TaskDeque in parallel.h).
+    // spelled with operations rather than fences so TSan models it).
     std::atomic<std::uint32_t> op_depth{0};  ///< Public-op nesting depth.
     std::atomic<std::uint64_t> seen_epoch{0};  ///< Last epoch announced.
     std::atomic<bool> passive{false};  ///< Skipped by the grace scan.
@@ -656,7 +597,7 @@ class BddManager {
     std::uint32_t epoch = 0;
   };
 
-  /// One wait-free computed-cache entry (TableMode::kLockFree). The
+  /// One wait-free computed-cache entry (shared mode). The
   /// seqlock stamp makes racing overwrites lossy instead of blocking:
   /// a writer claims the entry with one CAS to an odd stamp (and simply
   /// skips the store if it loses — the cache is allowed to drop
@@ -889,25 +830,6 @@ class BddManager {
   NodeIndex xor_rec(NodeIndex f, NodeIndex g);
   NodeIndex exists_rec(NodeIndex f, NodeIndex cube);
   NodeIndex and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube);
-
-  // Work-stealing variants of the cores above (bdd/parallel.cpp): same
-  // terminal rules, canonicalizations and cache keys, but cofactor
-  // splits above the granularity threshold fork one side as a stealable
-  // task. Entered only when `par_enabled()`.
-  NodeIndex par_ite_rec(NodeIndex f, NodeIndex g, NodeIndex h);
-  NodeIndex par_and_rec(NodeIndex f, NodeIndex g);
-  NodeIndex par_or_rec(NodeIndex f, NodeIndex g) {
-    return edge_not(par_and_rec(edge_not(f), edge_not(g)));
-  }
-  NodeIndex par_xor_rec(NodeIndex f, NodeIndex g);
-  NodeIndex par_exists_rec(NodeIndex f, NodeIndex cube);
-  NodeIndex par_and_exists_rec(NodeIndex f, NodeIndex g, NodeIndex cube);
-  /// True when a shared epoch with a parallel pool is active.
-  bool par_enabled() const noexcept {
-    return shared_mode_ && par_pool_ != nullptr;
-  }
-  /// Fork when at least `fork_threshold` levels remain below the split.
-  bool par_should_fork(unsigned top_level) const noexcept;
   NodeIndex compose_rec(NodeIndex f, Var v, NodeIndex g, unsigned v_level);
   NodeIndex simplify_rec(NodeIndex f, NodeIndex care);
   NodeIndex permute_rec(ThreadCtx& tc, NodeIndex f,
@@ -965,22 +887,11 @@ class BddManager {
                                     ///< caches can't leak across epochs — or
                                     ///< across managers reusing an address.
   std::size_t shard_max_threads_ = 0;
-  TableMode table_mode_ = TableMode::kLockFree;
-  /// Work-stealing pool for the current shared epoch (nullptr when the
-  /// epoch is serial-only). Created by `begin_shared`, stopped and
-  /// destroyed by `end_shared`.
-  std::unique_ptr<ParallelPool> par_pool_;
   std::vector<std::unique_ptr<ThreadCtx>> shard_ctxs_;
   std::mutex shard_reg_mu_;  ///< Guards `shard_ctxs_` (registration/lookup).
   std::mutex alloc_mu_;      ///< Guards pool growth + arena refills.
-  static constexpr std::size_t kUniqueStripes = 64;
-  static constexpr std::size_t kCacheStripes = 64;
   static constexpr NodeIndex kArenaBlock = 256;  ///< Slots per arena refill.
-  /// Striped locks: unique subtables by `var % kUniqueStripes`, computed
-  /// cache by `slot % kCacheStripes`. Only taken in shared striped mode.
-  std::array<std::mutex, kUniqueStripes> unique_mu_;
-  std::array<std::mutex, kCacheStripes> cache_mu_;
-  /// Wait-free computed cache (TableMode::kLockFree), sized to match
+  /// Wait-free computed cache of shared epochs, sized to match
   /// `cache_` at `begin_shared` so the lock-free epoch inherits the
   /// exclusive cache's adaptive footprint. Entries outlive epochs; the
   /// per-entry epoch word keeps `clear_cache`/`gc` invalidation O(1).

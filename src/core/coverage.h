@@ -54,11 +54,6 @@ struct CoverageOptions {
   /// (Definition 3 presupposes M |= f). When false, failing properties
   /// contribute an empty covered set instead.
   bool require_holds = true;
-  /// Work-stealing parallelism *inside* each BDD operation
-  /// (bdd/parallel.h): total worker threads for apply/exists/
-  /// and_exists fork/join recursion; 0 = serial. Byte-identical to the
-  /// serial path by canonicity at every worker count.
-  std::size_t parallel_apply = 0;
 };
 
 /// Coverage of one observed signal for a property suite.

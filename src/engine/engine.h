@@ -138,9 +138,7 @@ struct CoverageRequest {
   std::vector<std::string> signals;
 
   // -- Policy ---------------------------------------------------------------
-  /// Estimator policy. `options.parallel_apply` travels as the
-  /// top-level `"parallel_apply"` JSON field (like `table_mode`), not
-  /// inside the `"options"` object.
+  /// Estimator policy.
   core::CoverageOptions options;
   /// When false (default), properties that fail verification are skipped:
   /// they contribute nothing to coverage, matching Definition 3's
@@ -157,12 +155,6 @@ struct CoverageRequest {
   /// after verifying the suite exactly once; rows are merged back in
   /// request order and are bit-identical to the serial path.
   std::size_t shards = 1;
-  /// How the shared manager of a sharded fan-out synchronizes its
-  /// unique tables and computed cache: the lock-free CAS table
-  /// (default) or the striped-lock baseline (kept for benchmarking;
-  /// results are byte-identical either way). Ignored when the run
-  /// never enters shared mode.
-  bdd::TableMode table_mode = bdd::TableMode::kLockFree;
 
   // -- Resource governance ----------------------------------------------------
   /// Wall-clock budget for the whole run in milliseconds (0 = none).

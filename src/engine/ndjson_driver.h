@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "engine/executor.h"
@@ -61,15 +60,11 @@ std::string ndjson_dirname(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Driver-level knobs applied to every parsed request line — the
-/// `--shards/--deadline-ms/--max-nodes/--table-mode/--parallel-apply`
-/// flags both binaries accept.
+/// `--shards/--deadline-ms/--max-nodes` flags both binaries accept.
 struct RequestDefaults {
   std::size_t shards = 0;       ///< 0 = leave the request's own value.
   std::size_t deadline_ms = 0;  ///< 0 = leave the request's own value.
   std::size_t max_nodes = 0;    ///< 0 = leave the request's own value.
-  /// In-operation parallel-apply workers; 0 = leave the request's value.
-  std::size_t parallel_apply = 0;
-  std::optional<bdd::TableMode> table_mode;  ///< Unset = per-request value.
   bool want_traces = false;  ///< Applied to bare model-path lines only.
   /// How a set flag meets a request that also sets the field: the batch
   /// driver's flags win (true — a CLI override for the whole batch);

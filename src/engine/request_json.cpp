@@ -139,14 +139,6 @@ std::string to_json(const CoverageRequest& request,
   w.field_count("uncovered_limit", request.uncovered_limit);
   w.field_bool("want_traces", request.want_traces);
   w.field_count("shards", request.shards);
-  w.field_string("table_mode",
-                 request.table_mode == bdd::TableMode::kStriped ? "striped"
-                                                                : "lockfree");
-  // Omitted when 0 (= serial, the default), so pre-parallel documents
-  // and their goldens stay byte-identical.
-  if (request.options.parallel_apply != 0) {
-    w.field_count("parallel_apply", request.options.parallel_apply);
-  }
   // Governance limits are omitted when unset, so pre-governance
   // documents (and their goldens) stay byte-identical.
   if (request.deadline_ms != 0) {
@@ -318,20 +310,6 @@ CoverageRequest request_from_json(const std::string& text) {
       request.max_live_nodes = as_count(value, "max_live_nodes");
       if (request.max_live_nodes == 0) {
         schema_fail("'max_live_nodes' must be >= 1");
-      }
-    } else if (key == "table_mode") {
-      const std::string& mode = as_string(value, "table_mode");
-      if (mode == "lockfree") {
-        request.table_mode = bdd::TableMode::kLockFree;
-      } else if (mode == "striped") {
-        request.table_mode = bdd::TableMode::kStriped;
-      } else {
-        schema_fail("'table_mode' must be 'lockfree' or 'striped'");
-      }
-    } else if (key == "parallel_apply") {
-      request.options.parallel_apply = as_count(value, "parallel_apply");
-      if (request.options.parallel_apply == 0) {
-        schema_fail("'parallel_apply' must be >= 1 (omit for serial)");
       }
     } else {
       schema_fail("unknown key '" + key + "'");

@@ -19,10 +19,6 @@
 //     "uncovered_limit": 4,
 //     "want_traces": false,
 //     "shards": 1,                      // estimator threads (>= 1)
-//     "table_mode": "lockfree",         // or "striped" (shared-manager
-//                                       //     synchronization choice)
-//     "parallel_apply": 4,              // in-operation workers (>= 1);
-//                                       //     omitted when serial
 //     "deadline_ms": 500,               // wall-clock budget (>= 1);
 //                                       //     omitted when unlimited
 //     "max_live_nodes": 100000          // BDD node budget (>= 1);

@@ -38,7 +38,6 @@ bool SessionKey::matches(const SessionKey& other) const {
          options.restrict_to_fair == other.options.restrict_to_fair &&
          options.exclude_dontcares == other.options.exclude_dontcares &&
          options.require_holds == other.options.require_holds &&
-         options.parallel_apply == other.options.parallel_apply &&
          source == other.source;
 }
 
@@ -59,10 +58,6 @@ SessionKey SessionCache::key_of(std::string source,
   mix((options.restrict_to_fair ? 1u : 0u) |
       (options.exclude_dontcares ? 2u : 0u) |
       (options.require_holds ? 4u : 0u));
-  // Parallel-apply sessions keyed apart: a lease's epochs spawn worker
-  // pools, and mixing the worker count keeps warm replays of a request
-  // shape on a session with the same shape.
-  mix(options.parallel_apply);
   mix(max_live_nodes);
 
   SessionKey key;

@@ -155,7 +155,11 @@ class RunGovernor {
 };
 
 /// The coarse-grained tick dropped into BDD fixpoint loops: no-op when
-/// no governor is installed on this thread.
+/// no governor is installed on this thread. Together with the engine's
+/// per-property and per-row ticks, these loop heads and phase
+/// boundaries are the only places a deadline can stop a run — there is
+/// no tick inside a single BDD operation, so one deep apply always runs
+/// to completion first.
 void governor_tick();
 
 }  // namespace covest

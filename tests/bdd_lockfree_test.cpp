@@ -1,5 +1,5 @@
-// Direct battery for the lock-free shared-mode structures (bdd.h
-// TableMode::kLockFree): the CAS-chained unique table under
+// Direct battery for the lock-free shared-mode structures (bdd.h): the
+// CAS-chained unique table under
 // same-variable `make_node` bursts, the wait-free lossy computed cache
 // under deliberate overwrite races, and the hard (throwing) form of the
 // exclusive-only structural-mutation contract. Built for the sanitizer
@@ -25,7 +25,7 @@ namespace {
 
 /// A formula family deliberately dense in a *tiny* variable set, so every
 /// thread's make_node calls land in the same few subtables — the burst
-/// pattern the striped locks serialized and the CAS chains must survive.
+/// pattern the CAS chains must survive.
 /// Different lanes build overlapping functions in different orders, which
 /// maximizes equal-key CAS races (the loser-recycles path).
 Bdd dense_family(BddManager& mgr, const std::vector<Bdd>& vars,
@@ -52,8 +52,7 @@ TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
 
   std::vector<Bdd> shared_results(kThreads);
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
-  EXPECT_EQ(mgr.shared_table_mode(), TableMode::kLockFree);
+  mgr.begin_shared(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
@@ -87,36 +86,6 @@ TEST(BddLockFreeTest, SameVariableBurstsStayCanonicalAndMatchExclusive) {
   }
 }
 
-TEST(BddLockFreeTest, StripedAndLockFreeEpochsAgreeEdgeForEdge) {
-  // The same family built under both table modes of one manager must
-  // resolve to the same canonical edges — the unique table is one
-  // logical structure regardless of how an epoch synchronizes it.
-  constexpr unsigned kVars = 6;
-  BddManager mgr(kVars);
-  std::vector<Bdd> vars;
-  for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
-
-  std::vector<Bdd> results[2];
-  const TableMode modes[2] = {TableMode::kStriped, TableMode::kLockFree};
-  for (int m = 0; m < 2; ++m) {
-    results[m].resize(3);
-    mgr.begin_shared(3, modes[m]);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < 3; ++t) {
-      threads.emplace_back([&, m, t] {
-        mgr.register_shard_thread();
-        results[m][t] = dense_family(mgr, vars, t, 12);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    mgr.end_shared();
-  }
-  for (std::size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(results[0][t], results[1][t]) << "lane " << t;
-  }
-  EXPECT_TRUE(mgr.check_canonical());
-}
-
 TEST(BddLockFreeTest, RepeatedLockFreeEpochsDoNotLeakThePool) {
   // Equal-key races make losing threads recycle their speculative
   // slots; end_shared returns arena/recycle leftovers to the free list.
@@ -128,7 +97,7 @@ TEST(BddLockFreeTest, RepeatedLockFreeEpochsDoNotLeakThePool) {
 
   std::size_t after_first = 0;
   for (int epoch = 0; epoch < 12; ++epoch) {
-    mgr.begin_shared(2, TableMode::kLockFree);
+    mgr.begin_shared(2);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < 2; ++t) {
       threads.emplace_back([&, t] {
@@ -168,7 +137,7 @@ TEST(BddLockFreeTest, CacheOverwriteRacesNeverReturnAForeignResult) {
 
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> mismatches{0};
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
+  mgr.begin_shared(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
@@ -204,9 +173,9 @@ TEST(BddLockFreeTest, CacheOverwriteRacesNeverReturnAForeignResult) {
 
 TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
   // clear_cache's O(1) epoch bump must invalidate wait-free entries
-  // exactly like striped/exclusive ones.
+  // exactly like exclusive ones.
   BddManager mgr(1, /*cache_size_log2=*/2);
-  mgr.begin_shared(1, TableMode::kLockFree);
+  mgr.begin_shared(1);
   mgr.register_shard_thread();
   mgr.debug_cache_store(9, 1, 2, 3, 42);
   NodeIndex out = 0;
@@ -216,7 +185,7 @@ TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
 
   mgr.clear_cache();
 
-  mgr.begin_shared(1, TableMode::kLockFree);
+  mgr.begin_shared(1);
   mgr.register_shard_thread();
   EXPECT_FALSE(mgr.debug_cache_find(9, 1, 2, 3, &out));
   mgr.end_shared();
@@ -230,9 +199,9 @@ TEST(BddLockFreeTest, UnregisteredThreadIsRejectedInLockFreeMode) {
   BddManager mgr(2);
   const Bdd a = mgr.var(0);
   const Bdd b = mgr.var(1);
-  mgr.begin_shared(2, TableMode::kLockFree);
+  mgr.begin_shared(2);
   std::thread outsider([&] {
-    // Structured failure, not pool corruption — same guard as striped.
+    // Structured failure, not pool corruption.
     EXPECT_THROW((void)(a & b), std::logic_error);
   });
   outsider.join();
@@ -245,35 +214,33 @@ TEST(BddLockFreeTest, UnregisteredThreadIsRejectedInLockFreeMode) {
 
 TEST(BddLockFreeTest, StructuralMutationThrowsWhileShared) {
   // The remaining exclusive-only entry points are hard errors in release
-  // builds too: nothing may move or relabel nodes under a shared epoch
-  // of either table mode. gc() and clear_cache() are legal since the
-  // epoch-based reclamation landed — they collect through the
-  // stop-the-world-at-op-boundaries protocol instead of throwing.
-  for (const TableMode mode : {TableMode::kLockFree, TableMode::kStriped}) {
-    BddManager mgr(4);
-    const Bdd keep = mgr.var(0) & mgr.var(1);
-    mgr.begin_shared(1, mode);
-    mgr.register_shard_thread();
-    EXPECT_NO_THROW(mgr.gc());
-    EXPECT_NO_THROW(mgr.clear_cache());
-    EXPECT_FALSE((mgr.var(0) & mgr.var(1)).is_false());  // Still operable.
-    EXPECT_THROW(mgr.new_var(), std::logic_error);
-    EXPECT_THROW(mgr.live_node_count(), std::logic_error);
-    EXPECT_THROW(mgr.reorder_sift(), std::logic_error);
-    EXPECT_THROW(mgr.swap_adjacent_levels(0), std::logic_error);
-    EXPECT_THROW(mgr.set_order({0, 1, 2, 3}), std::logic_error);
-    EXPECT_THROW(mgr.begin_shared(2, mode), std::logic_error);
-    mgr.end_shared();
-    // And everything works again once the epoch is over.
-    EXPECT_THROW(mgr.end_shared(), std::logic_error);
-    mgr.gc();
-    mgr.clear_cache();
-    (void)mgr.new_var();
-    (void)mgr.live_node_count();
-    (void)mgr.reorder_sift();
-    EXPECT_FALSE(keep.is_false());
-    EXPECT_TRUE(mgr.check_canonical());
-  }
+  // builds too: nothing may move or relabel nodes under a shared epoch.
+  // gc() and clear_cache() are legal since the epoch-based reclamation
+  // landed — they collect through the stop-the-world-at-op-boundaries
+  // protocol instead of throwing.
+  BddManager mgr(4);
+  const Bdd keep = mgr.var(0) & mgr.var(1);
+  mgr.begin_shared(1);
+  mgr.register_shard_thread();
+  EXPECT_NO_THROW(mgr.gc());
+  EXPECT_NO_THROW(mgr.clear_cache());
+  EXPECT_FALSE((mgr.var(0) & mgr.var(1)).is_false());  // Still operable.
+  EXPECT_THROW(mgr.new_var(), std::logic_error);
+  EXPECT_THROW(mgr.live_node_count(), std::logic_error);
+  EXPECT_THROW(mgr.reorder_sift(), std::logic_error);
+  EXPECT_THROW(mgr.swap_adjacent_levels(0), std::logic_error);
+  EXPECT_THROW(mgr.set_order({0, 1, 2, 3}), std::logic_error);
+  EXPECT_THROW(mgr.begin_shared(2), std::logic_error);
+  mgr.end_shared();
+  // And everything works again once the epoch is over.
+  EXPECT_THROW(mgr.end_shared(), std::logic_error);
+  mgr.gc();
+  mgr.clear_cache();
+  (void)mgr.new_var();
+  (void)mgr.live_node_count();
+  (void)mgr.reorder_sift();
+  EXPECT_FALSE(keep.is_false());
+  EXPECT_TRUE(mgr.check_canonical());
 }
 
 TEST(BddLockFreeTest, TraversalsRunConcurrentlyWithBursts) {
@@ -296,7 +263,7 @@ TEST(BddLockFreeTest, TraversalsRunConcurrentlyWithBursts) {
   }
   const double expected = mgr.sat_count(root, over);
 
-  mgr.begin_shared(kThreads, TableMode::kLockFree);
+  mgr.begin_shared(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {

@@ -11,10 +11,8 @@
 //   * identical reachable-state and coverage-space counts,
 //   * identical covered-state counts and coverage percentages for every
 //     signal row,
-// and, on a sub-sample of seeds, that the sharded runs (both
-// table_mode=lockfree and table_mode=striped) and the parallel-apply
-// replays (serial and sharded, both table modes) stay byte-identical
-// to the serial run.
+// and, on a sub-sample of seeds, that the sharded replay stays
+// byte-identical to the serial run.
 //
 // Reproduction: every failure message carries its seed; set
 // COVEST_DIFF_SEED=<n> to re-run exactly that seed (and only it),
@@ -248,8 +246,8 @@ std::string canonical(const SuiteResult& r) {
 
 /// One seed, end to end; returns how many signal rows had a non-empty
 /// covered set (generator-health accounting). `check_sharded`
-/// additionally replays the suite sharded under both table modes and
-/// holds them to byte-identity.
+/// additionally replays the suite sharded and holds it to
+/// byte-identity.
 std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
   SCOPED_TRACE("COVEST_DIFF_SEED=" + std::to_string(seed));
   const GeneratedSuite g = generate(seed);
@@ -290,33 +288,9 @@ std::size_t run_seed(std::uint32_t seed, bool check_sharded) {
   }
 
   if (check_sharded) {
-    const std::string expect = canonical(serial);
-    for (const bdd::TableMode table_mode :
-         {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-      CoverageRequest sharded = g.request;
-      sharded.shards = 3;
-      sharded.table_mode = table_mode;
-      const SuiteResult r = session->run(sharded);
-      EXPECT_EQ(canonical(r), expect)
-          << (table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                      : "striped");
-    }
-
-    // Parallel-apply parity: the work-stealing kernels (bdd/parallel.h)
-    // must not perturb a single byte whatever the schedule — serial row
-    // order with in-operation parallelism, and the sharded fan-out with
-    // a shared pool, under both table modes.
-    for (const bdd::TableMode table_mode :
-         {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-      SCOPED_TRACE(table_mode == bdd::TableMode::kLockFree ? "lockfree"
-                                                           : "striped");
-      CoverageRequest par = g.request;
-      par.options.parallel_apply = 2;
-      par.table_mode = table_mode;
-      EXPECT_EQ(canonical(session->run(par)), expect) << "parallel serial";
-      par.shards = 3;
-      EXPECT_EQ(canonical(session->run(par)), expect) << "parallel sharded";
-    }
+    CoverageRequest sharded = g.request;
+    sharded.shards = 3;
+    EXPECT_EQ(canonical(session->run(sharded)), canonical(serial));
   }
   return interesting;
 }

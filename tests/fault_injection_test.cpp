@@ -122,32 +122,27 @@ TEST(FaultInjectionTest, SameSessionRecoversAfterShardedAllocationFailure) {
   // The end_shared recovery contract: an allocation failure on an
   // estimator thread aborts the fan-out through the fail-fast path, the
   // pool exits shared mode consistent, and the SAME manager then
-  // completes a clean sharded run — under both table modes.
-  for (const bdd::TableMode mode :
-       {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-    CoverageRequest req = path_request("arbiter.cov");
-    req.shards = 2;
-    req.table_mode = mode;
-    const std::string fresh = canonical(Engine().run(req));
+  // completes a clean sharded run.
+  CoverageRequest req = path_request("arbiter.cov");
+  req.shards = 2;
+  const std::string fresh = canonical(Engine().run(req));
 
-    Session session(Engine::load_model(req));
-    bool injected_one = false;
-    for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
-      FaultInjector::arm(FaultInjector::Site::kAllocation, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kResourceExhausted) injected_one = true;
-      // A warm session may satisfy everything from its caches; either
-      // the failure surfaced structurally or the run finished clean.
-      EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      // Same manager, next run, no injection: must be clean and whole.
-      EXPECT_EQ(canonical(session.run(req)), fresh)
-          << "table mode " << static_cast<int>(mode) << " after " << n;
-    }
-    EXPECT_TRUE(injected_one) << "sweep never hit an allocation";
+  Session session(Engine::load_model(req));
+  bool injected_one = false;
+  for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
+    FaultInjector::arm(FaultInjector::Site::kAllocation, n);
+    const SuiteResult r = session.run(req);
+    FaultInjector::disarm();
+    if (r.status == ResultStatus::kResourceExhausted) injected_one = true;
+    // A warm session may satisfy everything from its caches; either
+    // the failure surfaced structurally or the run finished clean.
+    EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
+                canonical(r) == fresh)
+        << canonical(r);
+    // Same manager, next run, no injection: must be clean and whole.
+    EXPECT_EQ(canonical(session.run(req)), fresh) << "after " << n;
   }
+  EXPECT_TRUE(injected_one) << "sweep never hit an allocation";
 }
 
 // ---------------------------------------------------------------------------
@@ -206,74 +201,6 @@ TEST(FaultInjectionTest, TinyRealBudgetSurfacesStructurally) {
   // The failing phase records where the budget bit.
   EXPECT_EQ(r.elaborate.node_budget, 16u);
   EXPECT_GE(r.elaborate.live_nodes, 16u);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel apply
-// ---------------------------------------------------------------------------
-
-/// Deadline and allocation injections landing inside the work-stealing
-/// parallel kernels (bdd/parallel.h). Helper threads tick the governor
-/// at every task boundary, so the exact trigger schedule is not
-/// deterministic the way the serial sweeps above are — the contract
-/// held here is schedule-independent: every armed run ends in a
-/// structured status (or a clean run when warm caches absorb the work
-/// before the counter fires), never a crash, hang or corrupted pool,
-/// and the SAME session then completes a clean run byte-identical to an
-/// uninjected parallel run — which itself must match the serial bytes.
-/// Both table modes.
-TEST(FaultInjectionTest, ParallelApplyInjectionsSurfaceStructurally) {
-  InjectorGuard guard;
-  for (const bdd::TableMode mode :
-       {bdd::TableMode::kLockFree, bdd::TableMode::kStriped}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    CoverageRequest req = path_request("arbiter.cov");
-    req.options.parallel_apply = 2;
-    req.table_mode = mode;
-    const std::string fresh = canonical(Engine().run(req));
-    EXPECT_EQ(fresh, canonical(Engine().run(path_request("arbiter.cov"))))
-        << "parallel apply diverged from serial bytes";
-
-    Session session(Engine::load_model(req));
-    // Allocation first, while the session is cold: the estimate phase
-    // is guaranteed to allocate, so small fire_at values must land.
-    bool alloc_hit = false;
-    for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{40}}) {
-      FaultInjector::arm(FaultInjector::Site::kAllocation, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kResourceExhausted) {
-        alloc_hit = true;
-        EXPECT_FALSE(r.status_detail.empty());
-      }
-      EXPECT_TRUE(r.status == ResultStatus::kResourceExhausted ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      EXPECT_TRUE(r.error.empty()) << r.error;
-      EXPECT_EQ(canonical(session.run(req)), fresh)
-          << "after allocation " << n;
-    }
-    EXPECT_TRUE(alloc_hit) << "sweep never hit an allocation";
-
-    // Deadline ticks fire on the injection counter regardless of the
-    // real (absent) budget; n=1 lands at the first phase boundary,
-    // larger n reach the ticks inside the parallel recursion itself.
-    bool deadline_hit = false;
-    for (const std::uint64_t n :
-         {std::uint64_t{1}, std::uint64_t{5}, std::uint64_t{25},
-          std::uint64_t{125}}) {
-      FaultInjector::arm(FaultInjector::Site::kDeadline, n);
-      const SuiteResult r = session.run(req);
-      FaultInjector::disarm();
-      if (r.status == ResultStatus::kDeadlineExceeded) deadline_hit = true;
-      EXPECT_TRUE(r.status == ResultStatus::kDeadlineExceeded ||
-                  canonical(r) == fresh)
-          << canonical(r);
-      EXPECT_TRUE(r.error.empty()) << r.error;
-      EXPECT_EQ(canonical(session.run(req)), fresh) << "after tick " << n;
-    }
-    EXPECT_TRUE(deadline_hit) << "sweep never hit a deadline tick";
-  }
 }
 
 // ---------------------------------------------------------------------------

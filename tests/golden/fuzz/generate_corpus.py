@@ -80,19 +80,21 @@ w('bad_request/uncovered_fractional.json', '{"uncovered_limit": 1.5}')
 w('bad_request/uncovered_bool.json', '{"uncovered_limit": true}')
 w('bad_request/uncovered_saturated.json', '{"uncovered_limit": 1e999}')
 w('bad_request/shards_zero.json', '{"shards": 0}')
-w('bad_request/table_mode_unknown.json',
-  '{"model_path": "m.cov", "table_mode": "spinlock"}')
-w('bad_request/table_mode_wrong_type.json',
-  '{"model_path": "m.cov", "table_mode": 2}')
 w('bad_request/unknown_top_level_key.json', '{"modle_path": "m.cov"}')
-# `shard_mode` and `image_strategy` are not schema keys: rejected like any
-# unknown key, whatever the value.
+# `shard_mode`, `image_strategy`, `table_mode` and `parallel_apply` are
+# not schema keys: rejected like any unknown key, whatever the value.
 w('bad_request/shard_mode_replicated.json',
   '{"model_path": "m.cov", "shards": 4, "shard_mode": "replicated"}')
 w('bad_request/shard_mode_shared.json',
   '{"model_path": "m.cov", "shards": 2, "shard_mode": "shared_manager"}')
 w('bad_request/image_strategy_chaining.json',
   '{"model_path": "m.cov", "image_strategy": "chaining"}')
+w('bad_request/table_mode_striped.json',
+  '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
+w('bad_request/parallel_apply.json',
+  '{"model_path": "m.cov", "shards": 2, "parallel_apply": 4}')
+w('bad_request/parallel_apply_misspelled.json',
+  '{"model_path": "m.cov", "parallel_aply": 2}')
 # Resource-governance counts: both must be >= 1 integers when present
 # (0 is spelled by omission), and the shared count grammar already
 # rejects negatives, fractions, booleans and magnitudes past 1e15.
@@ -104,14 +106,6 @@ w('bad_request/deadline_wrong_type.json', '{"deadline_ms": "soon"}')
 w('bad_request/max_nodes_zero.json', '{"max_live_nodes": 0}')
 w('bad_request/max_nodes_fractional.json', '{"max_live_nodes": 2.5}')
 w('bad_request/max_nodes_wrong_type.json', '{"max_live_nodes": true}')
-# parallel_apply follows the same count grammar: >= 1 when present,
-# serial is spelled by omission.
-w('bad_request/parallel_apply_zero.json', '{"parallel_apply": 0}')
-w('bad_request/parallel_apply_negative.json', '{"parallel_apply": -2}')
-w('bad_request/parallel_apply_fractional.json', '{"parallel_apply": 1.5}')
-w('bad_request/parallel_apply_wrong_type.json', '{"parallel_apply": "all"}')
-w('bad_request/parallel_apply_misspelled.json',
-  '{"model_path": "m.cov", "parallel_aply": 2}')
 # Duplicate keys (grammar-valid; the schema rejects two-jobs-at-once),
 # including duplicates buried in nested objects.
 w('bad_request/duplicate_top_level.json',
@@ -147,12 +141,8 @@ w('good_request/full_sharded.json',
   '"options": {"restrict_to_fair": false, "exclude_dontcares": true}, '
   '"skip_failing": true, "uncovered_limit": 0, "want_traces": true, '
   '"shards": 4}')
-w('good_request/table_mode_striped.json',
-  '{"model_path": "m.cov", "shards": 2, "table_mode": "striped"}')
 w('good_request/deadline_and_budget.json',
   '{"model_path": "m.cov", "deadline_ms": 500, "max_live_nodes": 100000}')
-w('good_request/parallel_apply.json',
-  '{"model_path": "m.cov", "shards": 2, "parallel_apply": 4}')
 
 for d in ('bad_json', 'bad_request', 'good_json', 'good_request'):
     print(d, len(os.listdir(os.path.join(base, d))))

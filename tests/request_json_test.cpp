@@ -40,8 +40,6 @@ CoverageRequest sample_request() {
   req.uncovered_limit = 7;
   req.want_traces = true;
   req.shards = 3;
-  req.table_mode = bdd::TableMode::kStriped;  // Non-default round-trips.
-  req.options.parallel_apply = 3;
   req.deadline_ms = 1500;
   req.max_live_nodes = 250000;
   return req;
@@ -63,8 +61,6 @@ void expect_same_request(const CoverageRequest& a, const CoverageRequest& b) {
   EXPECT_EQ(a.uncovered_limit, b.uncovered_limit);
   EXPECT_EQ(a.want_traces, b.want_traces);
   EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.table_mode, b.table_mode);
-  EXPECT_EQ(a.options.parallel_apply, b.options.parallel_apply);
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.max_live_nodes, b.max_live_nodes);
 }
@@ -123,8 +119,6 @@ TEST(RequestJsonTest, MinimalInputGetsDefaults) {
   EXPECT_EQ(req.uncovered_limit, 4u);
   EXPECT_FALSE(req.want_traces);
   EXPECT_EQ(req.shards, 1u);
-  EXPECT_EQ(req.table_mode, bdd::TableMode::kLockFree);
-  EXPECT_EQ(req.options.parallel_apply, 0u);  // Serial, by omission.
   EXPECT_EQ(req.deadline_ms, 0u);       // Unlimited, spelled by omission.
   EXPECT_EQ(req.max_live_nodes, 0u);
 }
@@ -235,13 +229,6 @@ TEST(FuzzCorpusTest, ShardingRoundTripsThroughTheCorpusForms) {
       read_file(corpus_files("good_request")[0].parent_path() /
                 "full_sharded.json"));
   EXPECT_EQ(sharded.shards, 4u);
-  // Unstated table_mode defaults to the lock-free table; the explicit
-  // corpus form selects the striped baseline.
-  EXPECT_EQ(sharded.table_mode, bdd::TableMode::kLockFree);
-  const CoverageRequest striped = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "table_mode_striped.json"));
-  EXPECT_EQ(striped.table_mode, bdd::TableMode::kStriped);
 }
 
 TEST(FuzzCorpusTest, GovernanceLimitsRoundTripThroughTheCorpusForm) {
@@ -261,22 +248,6 @@ TEST(FuzzCorpusTest, GovernanceLimitsRoundTripThroughTheCorpusForm) {
       engine::to_json(engine::request_from_json(R"({"model_path": "m.cov"})"));
   EXPECT_EQ(unlimited.find("deadline_ms"), std::string::npos) << unlimited;
   EXPECT_EQ(unlimited.find("max_live_nodes"), std::string::npos) << unlimited;
-}
-
-TEST(FuzzCorpusTest, ParallelApplyRoundTripsThroughTheCorpusForm) {
-  const CoverageRequest par = engine::request_from_json(
-      read_file(corpus_files("good_request")[0].parent_path() /
-                "parallel_apply.json"));
-  EXPECT_EQ(par.options.parallel_apply, 4u);
-  EXPECT_EQ(par.shards, 2u);
-  // Canonical form keeps the key (non-default)...
-  const std::string json = engine::to_json(par);
-  EXPECT_NE(json.find("\"parallel_apply\": 4"), std::string::npos) << json;
-  // ...and a serial request serializes no parallel_apply at all, so
-  // pre-parallel goldens stay byte-identical.
-  const std::string serial =
-      engine::to_json(engine::request_from_json(R"({"model_path": "m.cov"})"));
-  EXPECT_EQ(serial.find("parallel_apply"), std::string::npos) << serial;
 }
 
 TEST(RequestJsonTest, HostileNestingDepthIsRejectedNotACrash) {
@@ -398,7 +369,6 @@ TEST_F(GoldenRequestTest, FullRequestWithInlineModelAndSharding) {
   req.skip_failing = true;
   req.uncovered_limit = 2;
   req.shards = 2;
-  req.options.parallel_apply = 2;
   check_round_trip("request_sharded_inline.json", req);
 }
 

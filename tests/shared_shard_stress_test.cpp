@@ -1,12 +1,11 @@
 // Concurrency battery for the shared sharded BddManager: repeated
 // randomized-order runs of every example model at shards = 1/2/4/K >
-// signals — under BOTH shared-mode table modes (the lock-free
-// unique-table/wait-free-cache default and the striped-lock baseline)
-// — asserting byte-identical `SuiteResult` JSON against the serial
+// signals — asserting byte-identical `SuiteResult` JSON against the serial
 // engine and — the tentpole invariant — that the verification phase ran
 // exactly once per suite (`PhaseStats::passes`). Also exercises the
 // bdd.h shared mode directly (concurrent node construction stays
-// canonical; unregistered threads are rejected). Built for the
+// canonical; unregistered threads are rejected; manager churn never
+// aliases a thread's cached context). Built for the
 // sanitizer CI matrix: every assertion here runs under TSan and
 // ASan+UBSan.
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -50,21 +50,11 @@ std::string canonical(const SuiteResult& r) {
   return engine::to_json(r, opts);
 }
 
-const bdd::TableMode kTableModes[] = {bdd::TableMode::kLockFree,
-                                      bdd::TableMode::kStriped};
-
-const char* table_mode_name(bdd::TableMode mode) {
-  return mode == bdd::TableMode::kLockFree ? "lockfree" : "striped";
-}
-
-CoverageRequest traced_request(
-    const char* name, std::size_t shards,
-    bdd::TableMode table_mode = bdd::TableMode::kLockFree) {
+CoverageRequest traced_request(const char* name, std::size_t shards) {
   CoverageRequest req;
   req.model_path = model_path(name);
   req.want_traces = true;  // Trace generation must also be shard-safe.
   req.shards = shards;
-  req.table_mode = table_mode;
   return req;
 }
 
@@ -89,23 +79,16 @@ TEST(SharedShardStressTest, EveryModelEveryShardCountMatchesSerial) {
     // 9 > every example model's signal count: the K > signals case must
     // clamp to the row count, not spawn idle threads or change results.
     for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
-      // Both shared-mode synchronization schemes are held to the same
-      // byte contract: lockfree and striped must match serial — and
-      // therefore each other — exactly.
-      for (const bdd::TableMode table_mode : kTableModes) {
-        Executor ex{ExecutorOptions{4, nullptr}};
-        const SuiteResult r =
-            ex.submit(traced_request(m, shards, table_mode)).take();
-        EXPECT_TRUE(r.error.empty()) << m << ": " << r.error;
-        EXPECT_EQ(canonical(r), serial_expectations().at(m))
-            << m << " shards=" << shards
-            << " table_mode=" << table_mode_name(table_mode);
-        // The point of the shared-manager sharding: one parse, one
-        // elaboration, one verification — regardless of the shard count.
-        EXPECT_EQ(r.elaborate.passes, 1u) << m << " shards=" << shards;
-        EXPECT_EQ(r.verify.passes, 1u) << m << " shards=" << shards;
-        EXPECT_EQ(r.estimate.passes, 1u) << m << " shards=" << shards;
-      }
+      Executor ex{ExecutorOptions{4, nullptr}};
+      const SuiteResult r = ex.submit(traced_request(m, shards)).take();
+      EXPECT_TRUE(r.error.empty()) << m << ": " << r.error;
+      EXPECT_EQ(canonical(r), serial_expectations().at(m))
+          << m << " shards=" << shards;
+      // The point of the shared-manager sharding: one parse, one
+      // elaboration, one verification — regardless of the shard count.
+      EXPECT_EQ(r.elaborate.passes, 1u) << m << " shards=" << shards;
+      EXPECT_EQ(r.verify.passes, 1u) << m << " shards=" << shards;
+      EXPECT_EQ(r.estimate.passes, 1u) << m << " shards=" << shards;
     }
   }
 }
@@ -136,16 +119,11 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
   struct Spec {
     const char* model;
     std::size_t shards;
-    bdd::TableMode table_mode;
   };
   std::vector<Spec> deck;
   for (const char* m : kModels) {
     for (const std::size_t shards : {1u, 2u, 4u, 9u}) {
-      // The full deck runs under both table modes, so lockfree and
-      // striped jobs interleave on the same executor in every round.
-      for (const bdd::TableMode table_mode : kTableModes) {
-        deck.push_back(Spec{m, shards, table_mode});
-      }
+      deck.push_back(Spec{m, shards});
     }
   }
   std::mt19937 rng(0x5eed5eed);
@@ -155,16 +133,14 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
     std::vector<JobHandle> handles;
     handles.reserve(deck.size());
     for (const Spec& s : deck) {
-      handles.push_back(
-          ex.submit(traced_request(s.model, s.shards, s.table_mode)));
+      handles.push_back(ex.submit(traced_request(s.model, s.shards)));
     }
     for (std::size_t i = 0; i < deck.size(); ++i) {
       const SuiteResult r = handles[i].take();
       EXPECT_TRUE(r.error.empty()) << deck[i].model << ": " << r.error;
       EXPECT_EQ(canonical(r), serial_expectations().at(deck[i].model))
           << "round " << round << " " << deck[i].model << " shards="
-          << deck[i].shards << " table_mode="
-          << table_mode_name(deck[i].table_mode);
+          << deck[i].shards;
       EXPECT_EQ(r.verify.passes, 1u);
     }
   }
@@ -172,28 +148,25 @@ TEST(SharedShardStressTest, RandomizedInterleavedBatchesStayByteIdentical) {
 
 TEST(SharedShardStressTest, SessionRunFansOutWithoutAnExecutor) {
   // The fan-out lives in Session::run, so library callers get it too —
-  // and one session must survive alternating epochs of both table
-  // modes with warm memo caches in between.
+  // and one session must survive repeated shared epochs with warm memo
+  // caches and serial runs in between.
   CoverageRequest req = traced_request("traffic.cov", 4);
   engine::Engine eng;
   auto session = eng.open(req);
-  bool first_epoch = true;
-  for (const bdd::TableMode table_mode : kTableModes) {
+  for (int epoch = 0; epoch < 2; ++epoch) {
     req.shards = 4;
-    req.table_mode = table_mode;
     const SuiteResult sharded = session->run(req);
     EXPECT_EQ(canonical(sharded), serial_expectations().at("traffic.cov"))
-        << table_mode_name(table_mode);
+        << "epoch " << epoch;
     // The first epoch verifies once; later epochs replay the session's
     // verified-suite record (passes == 0) with identical results.
-    EXPECT_EQ(sharded.verify.passes, first_epoch ? 1u : 0u);
-    first_epoch = false;
+    EXPECT_EQ(sharded.verify.passes, epoch == 0 ? 1u : 0u);
     // The manager is exclusive again: serial re-runs on the same
     // session (memo warm) still match.
     req.shards = 1;
     const SuiteResult serial = session->run(req);
     EXPECT_EQ(canonical(serial), serial_expectations().at("traffic.cov"))
-        << table_mode_name(table_mode);
+        << "epoch " << epoch;
   }
 }
 
@@ -224,6 +197,20 @@ TEST(SharedShardStressTest, CancellingASharededRunKeepsChunkPrefixes) {
 // bdd.h shared mode, driven directly
 // --------------------------------------------------------------------------
 
+/// Deterministic per-lane formula mix sharing subterms across lanes.
+bdd::Bdd lane_family(bdd::BddManager& m, const std::vector<bdd::Bdd>& vars,
+                     std::size_t lane) {
+  bdd::Bdd parity = m.bdd_false();
+  bdd::Bdd conj = m.bdd_true();
+  bdd::Bdd mix = m.bdd_false();
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    parity ^= vars[i];
+    if (i % (lane + 2) == 0) conj &= vars[i];
+    mix = ite(vars[(i + lane) % vars.size()], mix, parity);
+  }
+  return (parity & conj) | mix;
+}
+
 TEST(SharedModeBddTest, ConcurrentConstructionProducesCanonicalNodes) {
   // K threads hammer one manager with overlapping function families;
   // afterwards every function must equal its exclusive-mode twin edge
@@ -234,19 +221,6 @@ TEST(SharedModeBddTest, ConcurrentConstructionProducesCanonicalNodes) {
   std::vector<bdd::Bdd> vars;
   for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
 
-  auto family = [&vars](bdd::BddManager& m, std::size_t lane) {
-    // Deterministic per-lane formula mix sharing subterms across lanes.
-    bdd::Bdd parity = m.bdd_false();
-    bdd::Bdd conj = m.bdd_true();
-    bdd::Bdd mix = m.bdd_false();
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      parity ^= vars[i];
-      if (i % (lane + 2) == 0) conj &= vars[i];
-      mix = ite(vars[(i + lane) % vars.size()], mix, parity);
-    }
-    return (parity & conj) | mix;
-  };
-
   std::vector<bdd::Bdd> shared_results(kThreads);
   mgr.begin_shared(kThreads);
   {
@@ -254,7 +228,7 @@ TEST(SharedModeBddTest, ConcurrentConstructionProducesCanonicalNodes) {
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         mgr.register_shard_thread();
-        shared_results[t] = family(mgr, t);
+        shared_results[t] = lane_family(mgr, vars, t);
         // Traversals must be safe concurrently too.
         (void)mgr.support(shared_results[t]);
         (void)mgr.node_count(shared_results[t]);
@@ -271,12 +245,13 @@ TEST(SharedModeBddTest, ConcurrentConstructionProducesCanonicalNodes) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     // Exclusive-mode recomputation lands on the identical edge: the
     // unique table was never corrupted by the concurrent build.
-    EXPECT_EQ(shared_results[t], family(mgr, t)) << "lane " << t;
+    EXPECT_EQ(shared_results[t], lane_family(mgr, vars, t)) << "lane " << t;
   }
   // The pool survives a GC and keeps every shared-mode root alive.
   mgr.gc();
   for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(shared_results[t], family(mgr, t)) << "post-gc lane " << t;
+    EXPECT_EQ(shared_results[t], lane_family(mgr, vars, t))
+        << "post-gc lane " << t;
   }
 }
 
@@ -324,6 +299,42 @@ TEST(SharedModeBddTest, UnregisteredThreadIsRejected) {
   mgr.end_shared();
   EXPECT_FALSE(conj.is_false());
   EXPECT_TRUE(mgr.check_canonical());
+}
+
+// Regression: the per-thread shard-ctx cache was keyed on (manager
+// address, per-manager epoch counter). A new manager allocated at a
+// dead manager's address false-hit once its counter climbed back to
+// the cached value, returning a ThreadCtx* into freed memory (or into
+// the other thread's fresh context). The epoch token is process-global
+// now. Every round builds a fresh manager — the allocator commonly
+// hands back the previous address — and the test thread, whose
+// thread-local cache outlives each manager, builds alongside a fresh
+// thread in the new manager's first shared epoch.
+TEST(SharedModeBddTest, ManagerChurnDoesNotAliasThreadCtxCaches) {
+  constexpr unsigned kVars = 12;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    auto mgr = std::make_unique<bdd::BddManager>(kVars);
+    std::vector<bdd::Bdd> vars;
+    for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr->var(i));
+    const bdd::Bdd exclusive[2] = {lane_family(*mgr, vars, 0),
+                                   lane_family(*mgr, vars, 1)};
+
+    bdd::Bdd shared[2];
+    mgr->begin_shared(2);
+    mgr->register_shard_thread();
+    std::thread builder([&] {
+      mgr->register_shard_thread();
+      shared[1] = lane_family(*mgr, vars, 1);
+    });
+    shared[0] = lane_family(*mgr, vars, 0);
+    builder.join();
+    mgr->end_shared();
+
+    EXPECT_EQ(shared[0], exclusive[0]) << "test thread";
+    EXPECT_EQ(shared[1], exclusive[1]) << "builder thread";
+    EXPECT_TRUE(mgr->check_canonical());
+  }
 }
 
 TEST(SharedModeBddTest, ArenaLeftoversAreRecycledAfterEndShared) {
