@@ -291,6 +291,25 @@ void BddManager::begin_shared(std::size_t max_threads) {
     lf_cache_size_ = cache_.size();
     lf_cache_mask_ = lf_cache_size_ - 1;
   }
+  // Seed it with the exclusive phase's memos, so the epoch starts from
+  // what verification cached instead of recomputing it. Both tables
+  // share size, hash and mask, so entry i is entry i; stale exclusive
+  // entries are skipped and leave any older wait-free memo in place.
+  // No thread is registered yet, so plain relaxed stores suffice (the
+  // threads' creation orders them before any lookup).
+  const std::uint32_t live_epoch = cache_epoch_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < cache_.size(); ++i) {
+    const CacheEntry& src = cache_[i];
+    if (src.op == 0 || src.epoch != live_epoch) continue;
+    LfCacheEntry& dst = lf_cache_[i];
+    dst.key_ab.store((static_cast<std::uint64_t>(src.a) << 32) | src.b,
+                     std::memory_order_relaxed);
+    dst.key_cop.store((static_cast<std::uint64_t>(src.c) << 32) | src.op,
+                      std::memory_order_relaxed);
+    dst.epoch_result.store(
+        (static_cast<std::uint64_t>(live_epoch) << 32) | src.result,
+        std::memory_order_relaxed);
+  }
   shard_ctxs_.clear();
   shard_ctxs_.reserve(shard_max_threads_);
   shared_epoch_ = next_epoch_token();

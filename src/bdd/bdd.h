@@ -267,9 +267,14 @@ struct BddStats {
 /// Owns the node pool, unique tables, computed cache and variable order.
 class BddManager {
  public:
-  /// Creates a manager with `initial_vars` anonymous variables.
+  /// Creates a manager with `initial_vars` anonymous variables. The
+  /// computed cache grows adaptively up to 2^`cache_size_log2` entries.
+  /// The default of 2^16 entries (1.5 MiB exclusive, 2 MiB wait-free)
+  /// fits one core's 2 MiB L2: a larger table evicts more rarely but
+  /// turns almost every probe into a DRAM miss, which costs more than
+  /// the recomputations it saves, and each concurrent worker owns one.
   explicit BddManager(unsigned initial_vars = 0,
-                      std::size_t cache_size_log2 = 18);
+                      std::size_t cache_size_log2 = 16);
   ~BddManager();
 
   BddManager(const BddManager&) = delete;
@@ -803,10 +808,12 @@ class BddManager {
     }
   }
 
-  // Computed cache. The table starts small and quadruples (dropping its
-  // lossy contents) whenever the stores since the last growth exceed a
-  // quarter of the current size, up to the configured maximum — so short
-  // sessions never pay for megabytes of cold cache.
+  // Computed cache. The table starts at 2^12 entries and quadruples
+  // (dropping its lossy contents) whenever the stores since the last
+  // growth exceed a quarter of the current size, up to the configured
+  // maximum (2^16 by default, L2-resident; see the constructor) — so
+  // short sessions never pay for a cold cache they do not fill, and
+  // long ones stop at the size that still hits in the core's L2.
   bool cache_find(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
                   NodeIndex* out);
   void cache_store(std::uint32_t op, NodeIndex a, NodeIndex b, NodeIndex c,
@@ -893,8 +900,10 @@ class BddManager {
   static constexpr NodeIndex kArenaBlock = 256;  ///< Slots per arena refill.
   /// Wait-free computed cache of shared epochs, sized to match
   /// `cache_` at `begin_shared` so the lock-free epoch inherits the
-  /// exclusive cache's adaptive footprint. Entries outlive epochs; the
-  /// per-entry epoch word keeps `clear_cache`/`gc` invalidation O(1).
+  /// exclusive cache's adaptive footprint, and seeded there with every
+  /// live exclusive entry (same size, hash and mask, so each lands in
+  /// its own slot). Entries outlive epochs; the per-entry epoch word
+  /// keeps `clear_cache`/`gc` invalidation O(1).
   std::unique_ptr<LfCacheEntry[]> lf_cache_;
   std::size_t lf_cache_mask_ = 0;
   std::size_t lf_cache_size_ = 0;

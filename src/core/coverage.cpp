@@ -1,5 +1,6 @@
 #include "core/coverage.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/governance.h"
@@ -155,54 +156,93 @@ Bdd CoverageEstimator::firstreached(const Bdd& s0, const Bdd& t2) {
 }
 
 // ---------------------------------------------------------------------------
-// The recursive covered-set computation (Table 1)
+// Table 1, split into a per-property plan and a per-signal union
 // ---------------------------------------------------------------------------
 
-Bdd CoverageEstimator::covered_rec(const Bdd& s0, const Formula& f,
-                                   const ObservedSignal& q) {
-  if (s0.is_false()) return fsm_.mgr().bdd_false();
+void CoverageEstimator::collect_leaves(const Bdd& s0, const Formula& f,
+                                       std::vector<Plan::Leaf>& leaves) {
+  if (s0.is_false()) return;
   switch (f.op()) {
-    case CtlOp::kProp:
-      return s0 & depend(f.prop(), q);
+    case CtlOp::kProp: {
+      // C(S0, b) = S0 ∩ depend(b): record S0 against b; a repeated atom
+      // widens its start set, since ∩ depend(b) distributes over ∪.
+      for (Plan::Leaf& leaf : leaves) {
+        if (expr::structural_equal(leaf.atom, f.prop())) {
+          leaf.states |= s0;
+          return;
+        }
+      }
+      leaves.push_back(Plan::Leaf{f.prop(), s0});
+      return;
+    }
     case CtlOp::kImplies: {
       if (f.arg(0).op() != CtlOp::kProp) {
         throw std::logic_error("implication antecedent must be an atom");
       }
-      return covered_rec(s0 & checker_.sat(f.arg(0)), f.arg(1), q);
+      collect_leaves(s0 & checker_.sat(f.arg(0)), f.arg(1), leaves);
+      return;
     }
     case CtlOp::kAX:
-      return covered_rec(forward_fair(s0), f.arg(0), q);
+      collect_leaves(forward_fair(s0), f.arg(0), leaves);
+      return;
     case CtlOp::kAG:
-      return covered_rec(reachable_fair(s0), f.arg(0), q);
-    case CtlOp::kAF: {
+      collect_leaves(reachable_fair(s0), f.arg(0), leaves);
+      return;
+    case CtlOp::kAF:
       // AF f == A[true U f]; the traverse term contributes nothing
       // (its operand `true` never depends on q).
-      return covered_rec(firstreached(s0, checker_.sat(f.arg(0))), f.arg(0),
-                         q);
-    }
+      collect_leaves(firstreached(s0, checker_.sat(f.arg(0))), f.arg(0),
+                     leaves);
+      return;
     case CtlOp::kAU: {
       const Bdd t1 = checker_.sat(f.arg(0));
       const Bdd t2 = checker_.sat(f.arg(1));
-      const Bdd from_lhs = covered_rec(traverse(s0, t1, t2), f.arg(0), q);
-      const Bdd from_rhs = covered_rec(firstreached(s0, t2), f.arg(1), q);
-      return from_lhs | from_rhs;
+      collect_leaves(traverse(s0, t1, t2), f.arg(0), leaves);
+      collect_leaves(firstreached(s0, t2), f.arg(1), leaves);
+      return;
     }
     case CtlOp::kAnd:
-      return covered_rec(s0, f.arg(0), q) | covered_rec(s0, f.arg(1), q);
+      collect_leaves(s0, f.arg(0), leaves);
+      collect_leaves(s0, f.arg(1), leaves);
+      return;
     default:
       throw std::logic_error(
-          "covered_rec: operator outside the acceptable ACTL subset");
+          "collect_leaves: operator outside the acceptable ACTL subset");
   }
 }
 
-Bdd CoverageEstimator::covered_set(const Formula& f, const ObservedSignal& q) {
-  const Formula collapsed = ctl::collapse_propositional(f);
-  const std::string violation = ctl::acceptable_actl_violation(collapsed);
-  if (!violation.empty()) {
-    throw std::runtime_error("coverage needs the acceptable ACTL subset: " +
-                             violation + " in '" + ctl::to_string(f) + "'");
+const CoverageEstimator::Plan& CoverageEstimator::plan(
+    const Formula& collapsed) {
+  {
+    std::lock_guard<std::recursive_mutex> lock(cache_mu_);
+    const auto it = plans_.find(collapsed);
+    if (it != plans_.end()) return it->second;
   }
-  if (!checker_.holds(collapsed)) {
+  // Built outside the lock, like the fix-points it runs: a racing
+  // thread may build the same plan, and the first insertion wins.
+  Plan p;
+  p.violation = ctl::acceptable_actl_violation(collapsed);
+  if (p.violation.empty()) p.holds = checker_.holds(collapsed);
+  if (p.violation.empty() && p.holds) {
+    Bdd start = fsm_.initial_states();
+    if (options_.restrict_to_fair) start &= checker_.fair_states();
+    collect_leaves(start, collapsed, p.leaves);
+  }
+  std::lock_guard<std::recursive_mutex> lock(cache_mu_);
+  return plans_.emplace(collapsed, std::move(p)).first->second;
+}
+
+Bdd CoverageEstimator::covered_set(const Formula& f, const ObservedSignal& q) {
+  return covered_by(plan(ctl::collapse_propositional(f)), f, q);
+}
+
+Bdd CoverageEstimator::covered_by(const Plan& p, const Formula& f,
+                                  const ObservedSignal& q) {
+  if (!p.violation.empty()) {
+    throw std::runtime_error("coverage needs the acceptable ACTL subset: " +
+                             p.violation + " in '" + ctl::to_string(f) + "'");
+  }
+  if (!p.holds) {
     if (options_.require_holds) {
       throw std::runtime_error(
           "coverage is defined for verified properties, but the model "
@@ -211,10 +251,11 @@ Bdd CoverageEstimator::covered_set(const Formula& f, const ObservedSignal& q) {
     }
     return fsm_.mgr().bdd_false();
   }
-
-  Bdd start = fsm_.initial_states();
-  if (options_.restrict_to_fair) start &= checker_.fair_states();
-  return covered_rec(start, collapsed, q);
+  Bdd covered = fsm_.mgr().bdd_false();
+  for (const Plan::Leaf& leaf : p.leaves) {
+    covered |= leaf.states & depend(leaf.atom, q);
+  }
+  return covered;
 }
 
 // ---------------------------------------------------------------------------
@@ -242,22 +283,17 @@ bool mentions_signal(const Formula& f, const std::string& name,
 
 }  // namespace
 
-SignalCoverage CoverageEstimator::coverage(
-    const std::vector<Formula>& properties, const ObservedSignal& q) {
-  SignalCoverage result;
-  result.signal = q;
-  result.covered = fsm_.mgr().bdd_false();
+void CoverageEstimator::prepare(const std::vector<Formula>& properties,
+                                const std::string& signal) {
   for (const Formula& f : properties) {
     const Formula collapsed = ctl::collapse_propositional(f);
-    if (!mentions_signal(collapsed, q.name, fsm_.model())) continue;
-    ++result.num_properties;
-    result.covered |= covered_set(collapsed, q);
+    if (mentions_signal(collapsed, signal, fsm_.model())) plan(collapsed);
   }
-  const Bdd in_space = result.covered & coverage_space();
-  result.covered_count = fsm_.count_states(in_space);
-  const double space = fsm_.count_states(coverage_space());
-  result.percent = space == 0.0 ? 100.0 : 100.0 * result.covered_count / space;
-  return result;
+}
+
+SignalCoverage CoverageEstimator::coverage(
+    const std::vector<Formula>& properties, const ObservedSignal& q) {
+  return coverage(properties, std::vector<ObservedSignal>{q});
 }
 
 SignalCoverage CoverageEstimator::coverage(
@@ -267,12 +303,18 @@ SignalCoverage CoverageEstimator::coverage(
   merged.covered = fsm_.mgr().bdd_false();
   if (group.empty()) return merged;
   merged.signal = group.front();
-  for (const ObservedSignal& q : group) {
-    const SignalCoverage sc = coverage(properties, q);
-    merged.covered |= sc.covered;
-    merged.num_properties = std::max(merged.num_properties,
-                                     sc.num_properties);
+  // Property-major, so each property is collapsed and its plan found
+  // once for the whole group rather than once per bit.
+  std::vector<std::size_t> per_bit(group.size(), 0);
+  for (const Formula& f : properties) {
+    const Formula collapsed = ctl::collapse_propositional(f);
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      if (!mentions_signal(collapsed, group[i].name, fsm_.model())) continue;
+      ++per_bit[i];
+      merged.covered |= covered_by(plan(collapsed), collapsed, group[i]);
+    }
   }
+  merged.num_properties = *std::max_element(per_bit.begin(), per_bit.end());
   if (group.size() > 1) {
     merged.signal.bit.reset();  // Whole-word entry.
   }

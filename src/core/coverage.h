@@ -26,6 +26,20 @@
 // satisfaction set, memoized across verification and coverage (the reuse
 // suggested in Section 3). All traversals are confined to fair states.
 //
+// Only depend() varies with the observed signal: every start set the
+// recursion threads down to an atom comes from the initial states,
+// `forward`, `reachable`, `traverse`, `firstreached` and the `sat`
+// antecedents, none of which depends on q. So the estimator splits the
+// recursion in two. Once per property it builds a *plan*: the
+// violation check, `holds`, and the Table-1 leaves — one (atom b,
+// start set S_b) pair per distinct atom, S_b the union of the start
+// sets reaching b. Per signal, a covered set is then just
+//
+//   C(q) = ∪_b S_b ∩ depend(b, q),
+//
+// which equals the recursion because ∩ distributes over ∪ and BDDs are
+// canonical. Plans are memoized structurally on the collapsed formula.
+//
 // Everything here has the same asymptotic cost as symbolic model
 // checking: fix-point computations over BDDs.
 #pragma once
@@ -107,6 +121,16 @@ class CoverageEstimator {
   /// Reachable (∩ fair ∩ ¬dontcare per options) states. Cached.
   const bdd::Bdd& coverage_space();
 
+  /// Builds (or finds) the signal-independent plan of every property
+  /// that `coverage(properties, ...)` would cover for bits of `signal`,
+  /// so those calls only intersect the plans' leaves with depend().
+  /// Optional — `coverage`/`covered_set` build missing plans themselves
+  /// — but lets a caller do the fix-points once before fanning rows out
+  /// to threads. Never throws for a property outside the subset or one
+  /// that fails; `covered_set` reports those.
+  void prepare(const std::vector<ctl::Formula>& properties,
+               const std::string& signal);
+
   /// Uncovered states for a covered set: space − covered.
   bdd::Bdd uncovered(const bdd::Bdd& covered);
 
@@ -128,8 +152,27 @@ class CoverageEstimator {
   bdd::Bdd traverse(const bdd::Bdd& s0, const bdd::Bdd& t1,
                     const bdd::Bdd& t2);
   bdd::Bdd firstreached(const bdd::Bdd& s0, const bdd::Bdd& t2);
-  bdd::Bdd covered_rec(const bdd::Bdd& s0, const ctl::Formula& f,
-                       const ObservedSignal& q);
+
+  /// The signal-independent half of one property's Table-1 recursion.
+  struct Plan {
+    std::string violation;  ///< Non-empty: outside the acceptable subset.
+    bool holds = false;     ///< Meaningful only when `violation` is empty.
+    struct Leaf {
+      expr::Expr atom;
+      bdd::Bdd states;  ///< Union of the start sets reaching `atom`.
+    };
+    std::vector<Leaf> leaves;  ///< Structurally distinct atoms.
+  };
+  /// The memoized plan of a collapsed formula. The reference stays
+  /// valid for the estimator's lifetime (entries are never erased).
+  const Plan& plan(const ctl::Formula& collapsed);
+  /// The covered set of a planned property for `q`: ∪ S_b ∩ depend(b, q).
+  /// `f` is the property as the caller named it, for error messages.
+  bdd::Bdd covered_by(const Plan& p, const ctl::Formula& f,
+                      const ObservedSignal& q);
+  /// Walks Table 1 from `s0` without q, collecting the leaves.
+  void collect_leaves(const bdd::Bdd& s0, const ctl::Formula& f,
+                      std::vector<Plan::Leaf>& leaves);
 
   ctl::ModelChecker& checker_;
   const fsm::SymbolicFsm& fsm_;
@@ -166,6 +209,10 @@ class CoverageEstimator {
     bdd::Bdd result;
   };
   std::unordered_map<std::uint64_t, std::vector<FirstEntry>> first_cache_;
+  /// Per-property plans, guarded by `cache_mu_` like the caches above.
+  std::unordered_map<ctl::Formula, Plan, ctl::FormulaStructuralHash,
+                     ctl::FormulaStructuralEq>
+      plans_;
 };
 
 }  // namespace covest::core

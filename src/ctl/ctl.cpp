@@ -141,11 +141,16 @@ Formula collapse_propositional(const Formula& f) {
     return Formula::prop(subtree_to_expr(f));
   }
 
+  // An already-collapsed formula comes back as the same node, so the
+  // per-row re-collapse in the estimator allocates nothing and its plan
+  // lookup matches by identity.
   std::vector<Formula> args;
+  bool changed = false;
   for (std::size_t i = 0; i < f.arity(); ++i) {
     args.push_back(collapse_propositional(f.arg(i)));
+    changed |= args.back().id() != f.arg(i).id();
   }
-  return Formula::make(f.op(), std::move(args));
+  return changed ? Formula::make(f.op(), std::move(args)) : f;
 }
 
 // ---------------------------------------------------------------------------

@@ -144,6 +144,23 @@ std::uint64_t suite_hash(const std::vector<PropertySpec>& specs,
   return h;
 }
 
+/// The properties a signal's row estimates: the verified (not skipped)
+/// ones whose OBSERVE list is empty or names the signal.
+std::vector<ctl::Formula> row_properties(
+    const std::string& name, const std::vector<PropertySpec>& specs,
+    const std::vector<ctl::Formula>& formulas,
+    const std::vector<PropertyResult>& outcomes) {
+  std::vector<ctl::Formula> eligible;
+  for (std::size_t j = 0; j < specs.size(); ++j) {
+    if (outcomes[j].skipped) continue;
+    const std::vector<std::string>& obs = specs[j].observe;
+    if (obs.empty() || std::find(obs.begin(), obs.end(), name) != obs.end()) {
+      eligible.push_back(formulas[j]);
+    }
+  }
+  return eligible;
+}
+
 }  // namespace
 
 std::vector<PropertySpec> resolve_suite(const CoverageRequest& request,
@@ -192,17 +209,8 @@ SignalRow Session::estimate_row(const CoverageRequest& request,
   const auto t_row = Clock::now();
   const std::vector<core::ObservedSignal> group =
       core::observe_all_bits(model(), name);
-
-  std::vector<ctl::Formula> eligible;
-  for (std::size_t j = 0; j < specs.size(); ++j) {
-    if (outcomes[j].skipped) continue;
-    const std::vector<std::string>& obs = specs[j].observe;
-    if (obs.empty() || std::find(obs.begin(), obs.end(), name) != obs.end()) {
-      eligible.push_back(formulas[j]);
-    }
-  }
-
-  const core::SignalCoverage sc = estimator_.coverage(eligible, group);
+  const core::SignalCoverage sc = estimator_.coverage(
+      row_properties(name, specs, formulas, outcomes), group);
   SignalRow row;
   row.name = name;
   row.num_properties = sc.num_properties;
@@ -374,6 +382,12 @@ SuiteResult Session::run(const CoverageRequest& request,
     }
     result.reachable_states = *reachable_count_;
     result.space_count = fsm_.count_states(estimator_.coverage_space());
+    // Rows share the suite's signal-independent Table-1 work; do it
+    // once here, so the rows (and sharded estimator threads) only hit.
+    for (const std::string& name : names) {
+      estimator_.prepare(
+          row_properties(name, specs, formulas, result.properties), name);
+    }
   } catch (const covest::DeadlineExceeded& e) {
     mark_limited(ResultStatus::kDeadlineExceeded, "estimate", e.what(),
                  &result.estimate, ms_since(t_estimate), 0, 0);

@@ -191,6 +191,40 @@ TEST(BddLockFreeTest, CacheEntriesFromBeforeClearCacheStopMatching) {
   mgr.end_shared();
 }
 
+TEST(BddLockFreeTest, BeginSharedSeedsExclusiveMemosIntoTheWaitFreeCache) {
+  // The shared epoch starts from what the exclusive phase memoized: an
+  // entry stored before begin_shared hits from a registered thread.
+  BddManager mgr(1);
+  mgr.debug_cache_store(9, 1, 2, 3, 42);
+  mgr.begin_shared(1);
+  bool hit = false;
+  NodeIndex out = 0;
+  std::thread worker([&] {
+    mgr.register_shard_thread();
+    hit = mgr.debug_cache_find(9, 1, 2, 3, &out);
+  });
+  worker.join();
+  mgr.end_shared();
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(out, 42u);
+}
+
+TEST(BddLockFreeTest, BeginSharedDoesNotSeedMemosClearedBeforeIt) {
+  BddManager mgr(1);
+  mgr.debug_cache_store(9, 1, 2, 3, 42);
+  mgr.clear_cache();
+  mgr.begin_shared(1);
+  bool hit = true;
+  std::thread worker([&] {
+    mgr.register_shard_thread();
+    NodeIndex out = 0;
+    hit = mgr.debug_cache_find(9, 1, 2, 3, &out);
+  });
+  worker.join();
+  mgr.end_shared();
+  EXPECT_FALSE(hit);
+}
+
 // --------------------------------------------------------------------------
 // Affinity guard and the exclusive-only contract
 // --------------------------------------------------------------------------

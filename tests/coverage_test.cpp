@@ -3,6 +3,11 @@
 // paper's Figure 1-3 examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "circuits/circuits.h"
 #include "core/coverage.h"
 #include "core/observed.h"
@@ -10,6 +15,7 @@
 #include "ctl/checker.h"
 #include "ctl/ctl_parser.h"
 #include "fsm/symbolic_fsm.h"
+#include "model/model_parser.h"
 
 namespace covest::core {
 namespace {
@@ -377,6 +383,225 @@ TEST(TransformTest, RejectsNonAcceptableFormulas) {
   const ObservedSignal q = observe_bool(m, "q");
   EXPECT_THROW(observability_transform(parse_ctl("EF q"), q, m),
                std::runtime_error);
+}
+
+// --------------------------------------------------------------------------
+// The per-property plan against the literal Table-1 recursion
+// --------------------------------------------------------------------------
+
+/// Table 1 executed literally, once per (property, observed bit), from the
+/// public FSM and checker primitives: the reference the estimator's
+/// split into signal-independent leaf sets and per-signal depend() must
+/// reproduce edge for edge. Fair restriction on, failing properties
+/// contribute nothing (the estimator under test is lenient too).
+class Table1Reference {
+ public:
+  explicit Table1Reference(ctl::ModelChecker& mc)
+      : mc_(mc), fsm_(mc.fsm()) {}
+
+  Bdd covered_set(const Formula& f, const ObservedSignal& q) {
+    const Formula collapsed = ctl::collapse_propositional(f);
+    if (!mc_.holds(collapsed)) return fsm_.mgr().bdd_false();
+    return covered(fsm_.initial_states() & mc_.fair_states(), collapsed, q);
+  }
+
+ private:
+  Bdd covered(const Bdd& s0, const Formula& f, const ObservedSignal& q) {
+    if (s0.is_false()) return fsm_.mgr().bdd_false();
+    switch (f.op()) {
+      case ctl::CtlOp::kProp:
+        return s0 & depend(f.prop(), q);
+      case ctl::CtlOp::kImplies:
+        return covered(s0 & mc_.sat(f.arg(0)), f.arg(1), q);
+      case ctl::CtlOp::kAX:
+        return covered(forward(s0), f.arg(0), q);
+      case ctl::CtlOp::kAG:
+        return covered(reachable(s0), f.arg(0), q);
+      case ctl::CtlOp::kAF:
+        return covered(firstreached(s0, mc_.sat(f.arg(0))), f.arg(0), q);
+      case ctl::CtlOp::kAU: {
+        const Bdd t1 = mc_.sat(f.arg(0));
+        const Bdd t2 = mc_.sat(f.arg(1));
+        return covered(traverse(s0, t1, t2), f.arg(0), q) |
+               covered(firstreached(s0, t2), f.arg(1), q);
+      }
+      case ctl::CtlOp::kAnd:
+        return covered(s0, f.arg(0), q) | covered(s0, f.arg(1), q);
+      default:
+        ADD_FAILURE() << "operator outside the acceptable subset";
+        return fsm_.mgr().bdd_false();
+    }
+  }
+
+  Bdd depend(const Expr& atom, const ObservedSignal& q) {
+    const model::Model& m = fsm_.model();
+    const Expr expanded = m.expand_defines(atom, &q.name);
+    const Expr flipped =
+        expr::substitute_signal(expanded, q.name, flip_replacement(m, q));
+    return fsm_.blast_bool(expanded) - fsm_.blast_bool(flipped);
+  }
+
+  Bdd forward(const Bdd& s) { return fsm_.forward(s) & mc_.fair_states(); }
+
+  Bdd reachable(const Bdd& s) {
+    Bdd reached = s;
+    Bdd frontier = s;
+    while (!frontier.is_false()) {
+      frontier = forward(frontier) - reached;
+      reached |= frontier;
+    }
+    return reached;
+  }
+
+  Bdd traverse(const Bdd& s0, const Bdd& t1, const Bdd& t2) {
+    const Bdd band = t1 - t2;
+    Bdd acc = s0 & band;
+    Bdd frontier = acc;
+    while (!frontier.is_false()) {
+      frontier = (forward(frontier) & band) - acc;
+      acc |= frontier;
+    }
+    return acc;
+  }
+
+  Bdd firstreached(const Bdd& s0, const Bdd& t2) {
+    Bdd first = s0 & t2;
+    Bdd visited = s0;
+    Bdd frontier = s0 - t2;
+    while (!frontier.is_false()) {
+      const Bdd next = forward(frontier) - visited;
+      visited |= next;
+      first |= next & t2;
+      frontier = next - t2;
+    }
+    return first;
+  }
+
+  ctl::ModelChecker& mc_;
+  const fsm::SymbolicFsm& fsm_;
+};
+
+/// Every state signal plus every OBSERVE target, one row group each.
+std::vector<std::vector<ObservedSignal>> row_groups(const model::Model& m) {
+  std::vector<std::string> names;
+  for (const model::Signal& s : m.signals()) {
+    if (s.kind == model::SignalKind::kState) names.push_back(s.name);
+  }
+  for (const model::SpecEntry& spec : m.specs()) {
+    for (const std::string& n : spec.observed) {
+      if (std::find(names.begin(), names.end(), n) == names.end()) {
+        names.push_back(n);
+      }
+    }
+  }
+  std::vector<std::vector<ObservedSignal>> groups;
+  for (const std::string& n : names) groups.push_back(observe_all_bits(m, n));
+  return groups;
+}
+
+void expect_plan_matches_reference(const model::Model& model,
+                                   const std::vector<Formula>& properties) {
+  fsm::SymbolicFsm fsm(model);
+  ctl::ModelChecker mc(fsm);
+  CoverageOptions lenient;
+  lenient.require_holds = false;
+  CoverageEstimator estimator(mc, lenient);
+  Table1Reference reference(mc);
+  const auto groups = row_groups(model);
+  ASSERT_FALSE(groups.empty());
+
+  std::vector<Bdd> rows;
+  for (const auto& group : groups) {
+    const SignalCoverage row = estimator.coverage(properties, group);
+    Bdd expected = fsm.mgr().bdd_false();
+    for (const ObservedSignal& q : group) {
+      for (const Formula& f : properties) {
+        expected |= reference.covered_set(f, q);
+      }
+    }
+    EXPECT_EQ(row.covered, expected) << "row " << group.front().name;
+    rows.push_back(row.covered);
+  }
+  // The comparison is only meaningful if something is covered at all.
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(),
+                          [](const Bdd& r) { return !r.is_false(); }));
+
+  // A second estimator over the same checker, rows in reverse order: the
+  // plans it builds must not depend on which row asked first.
+  CoverageEstimator reversed(mc, lenient);
+  for (std::size_t i = groups.size(); i-- > 0;) {
+    EXPECT_EQ(reversed.coverage(properties, groups[i]).covered, rows[i])
+        << "reversed row " << groups[i].front().name;
+  }
+}
+
+std::vector<Formula> concat(std::vector<std::vector<Formula>> parts) {
+  std::vector<Formula> all;
+  for (auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+  return all;
+}
+
+TEST(PlanDifferentialTest, CircuitFamiliesMatchTheTable1Reference) {
+  {
+    SCOPED_TRACE("token_ring(8)");
+    circuits::TokenRingSpec spec;
+    spec.cells = 8;
+    expect_plan_matches_reference(circuits::make_token_ring(spec),
+                                  circuits::ring_safety_properties(spec));
+  }
+  {
+    SCOPED_TRACE("pipeline(4)");
+    circuits::PipelineSpec spec;
+    spec.stages = 4;
+    expect_plan_matches_reference(
+        circuits::make_pipeline(spec),
+        concat({circuits::pipeline_properties_initial(spec),
+                circuits::pipeline_hold_properties(spec)}));
+  }
+  {
+    SCOPED_TRACE("circular_queue(3)");
+    circuits::CircularQueueSpec spec;
+    spec.ptr_bits = 3;
+    expect_plan_matches_reference(
+        circuits::make_circular_queue(spec),
+        concat({circuits::queue_wrap_properties_initial(spec),
+                circuits::queue_wrap_properties_additional(spec),
+                {circuits::queue_wrap_stall_property(spec)},
+                circuits::queue_full_properties(spec),
+                circuits::queue_empty_properties(spec)}));
+  }
+  for (const bool with_bug : {false, true}) {
+    SCOPED_TRACE(with_bug ? "priority_buffer(8,bug)" : "priority_buffer(8)");
+    circuits::PriorityBufferSpec spec;
+    spec.capacity = 8;
+    spec.with_bug = with_bug;
+    expect_plan_matches_reference(
+        circuits::make_priority_buffer(spec),
+        concat({circuits::buffer_hi_properties(spec),
+                circuits::buffer_lo_properties_initial(spec),
+                {circuits::buffer_lo_missing_case(spec)}}));
+  }
+}
+
+TEST(PlanDifferentialTest, ExampleModelsMatchTheTable1Reference) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(COVEST_SOURCE_DIR) + "/examples/models")) {
+    if (entry.path().extension() == ".cov") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  ASSERT_FALSE(paths.empty());
+  std::sort(paths.begin(), paths.end());
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    const model::Model m = model::parse_model_file(path);
+    std::vector<Formula> properties;
+    for (const model::SpecEntry& spec : m.specs()) {
+      properties.push_back(parse_ctl(spec.ctl_text));
+    }
+    expect_plan_matches_reference(m, properties);
+  }
 }
 
 // --------------------------------------------------------------------------

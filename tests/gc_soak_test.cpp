@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "circuits/circuits.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
 #include "engine/result_json.h"
@@ -33,10 +34,39 @@ using engine::SuiteResult;
 
 const char* kModels[] = {"counter.cov", "arbiter.cov", "handshake.cov",
                          "shift.cov", "traffic.cov"};
-constexpr std::size_t kModelCount = sizeof(kModels) / sizeof(kModels[0]);
+constexpr std::size_t kFileModels = sizeof(kModels) / sizeof(kModels[0]);
+/// The file models plus one generated token ring with traces. Once the
+/// estimator has planned a suite (before the sharded fan-out), the
+/// example models' rows only reuse nodes verification already built;
+/// the ring's per-row trace searches are what allocate enough inside a
+/// shared epoch for it to collect there.
+constexpr std::size_t kModelCount = kFileModels + 1;
 
 std::string model_path(const char* name) {
   return std::string(COVEST_SOURCE_DIR) + "/examples/models/" + name;
+}
+
+std::string model_label(std::size_t idx) {
+  return idx < kFileModels ? kModels[idx] : "token_ring(8)";
+}
+
+CoverageRequest soak_request(std::size_t idx) {
+  CoverageRequest req;
+  if (idx < kFileModels) {
+    req.model_path = model_path(kModels[idx]);
+    return req;
+  }
+  circuits::TokenRingSpec spec;
+  spec.cells = 8;
+  req.model = circuits::make_token_ring(spec);
+  for (const ctl::Formula& f : circuits::ring_safety_properties(spec)) {
+    req.properties.push_back(engine::PropertySpec::of(f));
+  }
+  for (unsigned k = 0; k < spec.cells; ++k) {
+    req.signals.push_back("tok" + std::to_string(k));
+  }
+  req.want_traces = true;
+  return req;
 }
 
 std::string canonical(const SuiteResult& r) {
@@ -159,10 +189,8 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
 
   // Serial cold ground truth, computed once per model.
   std::vector<std::string> expected;
-  for (const char* m : kModels) {
-    CoverageRequest req;
-    req.model_path = model_path(m);
-    expected.push_back(canonical(Engine().run(req)));
+  for (std::size_t idx = 0; idx < kModelCount; ++idx) {
+    expected.push_back(canonical(Engine().run(soak_request(idx))));
   }
 
   // Capacity below the model count: every round churns the cache
@@ -183,8 +211,7 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
     std::vector<std::size_t> which;
     for (int k = 0; k < kPerRound; ++k) {
       const std::size_t idx = (round + k) % kModelCount;
-      CoverageRequest req;
-      req.model_path = model_path(kModels[idx]);
+      CoverageRequest req = soak_request(idx);
       req.shards = 2;  // Shared estimation epochs inside every job.
       which.push_back(idx);
       handles.push_back(ex.submit(req));
@@ -196,9 +223,9 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
     for (std::size_t i = 0; i < handles.size(); ++i) {
       const SuiteResult r = handles[i].take();
       ASSERT_TRUE(r.error.empty())
-          << kModels[which[i]] << ": " << r.error;
+          << model_label(which[i]) << ": " << r.error;
       EXPECT_EQ(canonical(r), expected[which[i]])
-          << "round " << round << " " << kModels[which[i]];
+          << "round " << round << " " << model_label(which[i]);
       max_shared_gc_runs = std::max(
           max_shared_gc_runs, r.estimate.shared_gc_runs);
       ++total;
