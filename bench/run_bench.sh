@@ -1,32 +1,20 @@
 #!/usr/bin/env bash
-# Runs the benchmark suites and writes the per-layer perf trajectories:
-#   BENCH_bdd.json    — BDD microbenchmarks (google-benchmark JSON:
-#                       cpu_time in ns per op, plus peak_live_nodes /
-#                       cache_hit_rate counters), including the
-#                       shared-mode make_node burst
-#                       (BM_SharedMakeNodeBurstLockFree)
-#   BENCH_engine.json — engine-layer suite throughput (suites/sec over
-#                       the example-model manifest at --jobs 1, 2, 4,
-#                       via bench/engine_throughput and the executor),
-#                       plus intra-suite sharding (verify once, rows on
-#                       K threads over one shared BddManager),
-#                       plus the server_loopback family: the
-#                       covest_serve wire path end to end (an in-process
-#                       CovestServer on 127.0.0.1), cache:off against
-#                       cache:on — the warm-model-cache speedup. On
-#                       boxes with few hardware threads the wall-clock
-#                       columns mostly measure scheduling overhead — the
-#                       file then carries a "note".
+# Runs the BDD microbenchmarks and writes the kernel-layer perf
+# trajectory:
+#   BENCH_bdd.json — google-benchmark JSON: cpu_time in ns per op, plus
+#                    peak_live_nodes / cache_hit_rate counters, including
+#                    the shared-mode make_node burst
+#                    (BM_SharedMakeNodeBurstLockFree)
+# End-to-end and per-layer engine numbers come from the benchmark of
+# record, `python3 perfbench/run.py` (see BENCHMARK.json).
 #
 # Usage: bench/run_bench.sh [build_dir] [output_json]
 #        bench/run_bench.sh --check-stale [build_dir] [bench_json]
 #
-# --check-stale compares the committed trajectory files against the
-# current binaries and fails when either predates the schema — CI runs
-# it so a PR cannot land a stale file: BENCH_bdd.json must cover every
-# benchmark family compiled into bdd_microbench, and BENCH_engine.json
-# must carry every name `engine_throughput --list` prints for the
-# configuration this script drives (--jobs 1,2,4 --shards 4).
+# --check-stale compares the committed trajectory file against the
+# current binary and fails when it predates the schema — CI runs it so
+# a PR cannot land a stale file: BENCH_bdd.json must cover every
+# benchmark family compiled into bdd_microbench.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -62,50 +50,17 @@ if missing:
 print(f"{sys.argv[1]} covers all {len(binary)} benchmark families")
 EOF
   rm -f "${LIST_FILE}"
-
-  ENGINE_JSON="${REPO_ROOT}/BENCH_engine.json"
-  if [[ ! -x "${BUILD_DIR}/engine_throughput" ]]; then
-    echo "--check-stale: ${BUILD_DIR}/engine_throughput not built" >&2
-    exit 1
-  fi
-  ENGINE_LIST_FILE="$(mktemp)"
-  # Exactly the configuration the measuring run below uses.
-  "${BUILD_DIR}/engine_throughput" --list --jobs 1,2,4 --shards 4 \
-    > "${ENGINE_LIST_FILE}"
-  python3 - "${ENGINE_JSON}" "${ENGINE_LIST_FILE}" <<'EOF' || STATUS=$?
-import json, sys
-# Engine benchmark names are fully parameterized (no family prefix
-# collapsing): every listed name must appear verbatim.
-with open(sys.argv[2]) as f:
-    binary = {line.strip() for line in f if line.strip()}
-if not binary:
-    print("--check-stale: engine benchmark list came back empty",
-          file=sys.stderr)
-    sys.exit(1)
-with open(sys.argv[1]) as f:
-    data = json.load(f)
-recorded = {b["name"] for b in data.get("benchmarks", [])}
-missing = sorted(binary - recorded)
-if missing:
-    print(f"{sys.argv[1]} is stale: missing benchmarks {missing}; "
-          f"regenerate with bench/run_bench.sh", file=sys.stderr)
-    sys.exit(1)
-print(f"{sys.argv[1]} covers all {len(binary)} engine benchmarks")
-EOF
-  rm -f "${ENGINE_LIST_FILE}"
   exit "${STATUS}"
 fi
 
 BUILD_DIR="${1:-${REPO_ROOT}/build}"
 OUT_JSON="${2:-${REPO_ROOT}/BENCH_bdd.json}"
-ENGINE_OUT_JSON="${ENGINE_OUT_JSON:-${REPO_ROOT}/BENCH_engine.json}"
 MIN_TIME="${BENCH_MIN_TIME:-0.15}"
-ENGINE_REPEAT="${ENGINE_BENCH_REPEAT:-16}"
 
-if [[ ! -x "${BUILD_DIR}/bdd_microbench" || ! -x "${BUILD_DIR}/engine_throughput" ]]; then
-  echo "benchmark drivers not found; building in ${BUILD_DIR}" >&2
+if [[ ! -x "${BUILD_DIR}/bdd_microbench" ]]; then
+  echo "bdd_microbench not found; building in ${BUILD_DIR}" >&2
   cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" >/dev/null
-  cmake --build "${BUILD_DIR}" --target bdd_microbench engine_throughput -j >/dev/null
+  cmake --build "${BUILD_DIR}" --target bdd_microbench -j >/dev/null
 fi
 
 "${BUILD_DIR}/bdd_microbench" \
@@ -116,16 +71,6 @@ fi
   >/dev/null
 
 echo "wrote ${OUT_JSON}"
-
-# Engine-layer suite throughput: every example model's default suite,
-# repeated, fanned out through the executor at 1/2/4 workers, then the
-# shards=4 sharded suite and the token-ring and gc-under-load families.
-"${BUILD_DIR}/engine_throughput" \
-  --repeat "${ENGINE_REPEAT}" \
-  --jobs 1,2,4 \
-  --shards 4 \
-  --out "${ENGINE_OUT_JSON}" \
-  "${REPO_ROOT}"/examples/models/*.cov
 
 # Human-readable summary: op/ns and node counters per benchmark.
 python3 - "${OUT_JSON}" <<'EOF'

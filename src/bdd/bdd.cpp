@@ -21,10 +21,9 @@
 //    release/acquire channels (or through a root handle created before
 //    the threads were spawned), so every cross-thread read of
 //    node fields is ordered after the initializing writes. Live node
-//    fields are never mutated while shared mode is on (reordering stays
-//    exclusive-mode); shared-mode collections mutate only *dead* nodes,
-//    and only while every other thread is paused at an operation
-//    boundary (see the reclamation section at the end of this file).
+//    fields are never mutated while shared mode is on: reordering and
+//    collection are exclusive-mode only, so a shared epoch never frees
+//    or relinks a slot another thread might still be reading.
 //  * Segment pointers are published the same way: a segment is
 //    installed under `alloc_mu_` before any slot inside it is handed
 //    out, and slot indices travel only through the synchronized
@@ -34,11 +33,9 @@
 //    safe because every slot reachable from a published edge was
 //    allocated (and counted) before that edge was published (the
 //    release/acquire publication edge carries the counter write too).
-//  * External reference counts are relaxed atomics: a shared-mode
-//    collection reads them while every other thread is paused, and a
-//    handle that was live at the pause has completed its increment
-//    before its owner reached the boundary (program order within the
-//    owning thread plus the seq_cst quiescence handshake).
+//  * External reference counts are relaxed atomics: only an exclusive
+//    collection reads them, after `end_shared`, and the caller's join of
+//    the registered threads orders every handle update before it.
 //  * Everything in the lock-free paths is either an std::atomic_ref /
 //    std::atomic operation or a plain access ordered by one of the
 //    edges above, so a clean TSan run over the concurrency battery is
@@ -48,7 +45,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 #include "util/governance.h"
@@ -297,7 +293,7 @@ void BddManager::begin_shared(std::size_t max_threads) {
   // entries are skipped and leave any older wait-free memo in place.
   // No thread is registered yet, so plain relaxed stores suffice (the
   // threads' creation orders them before any lookup).
-  const std::uint32_t live_epoch = cache_epoch_.load(std::memory_order_relaxed);
+  const std::uint32_t live_epoch = cache_epoch_;
   for (std::size_t i = 0; i < cache_.size(); ++i) {
     const CacheEntry& src = cache_[i];
     if (src.op == 0 || src.epoch != live_epoch) continue;
@@ -346,17 +342,6 @@ void BddManager::end_shared() {
     }
   }
   shard_ctxs_.clear();
-  // Every registered thread is joined, so grace is trivially satisfied:
-  // drain all outstanding retire batches. A leftover collection request
-  // must not leak into the next epoch either (no collector can still be
-  // running — a collector finishes inside some thread's lifetime).
-  assert(!pause_requested_.load(std::memory_order_relaxed) &&
-         "end_shared with a collection pause still up");
-  {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    drain_retire_batches_locked(/*only_expired=*/false);
-  }
-  gc_requested_.store(false, std::memory_order_relaxed);
   shared_epoch_ = next_epoch_token();
   owner_thread_ = std::this_thread::get_id();
 }
@@ -583,20 +568,9 @@ NodeIndex BddManager::allocate_node_shared(ThreadCtx& tc) {
     return tc.arena_next++;
   }
   std::lock_guard<std::mutex> lock(alloc_mu_);
-  // Allocation pressure is the natural place to return quiesced retire
-  // batches to the free list (and to ask for a collection when the pool
-  // keeps growing anyway): every grower passes through here.
-  drain_retire_batches_locked(/*only_expired=*/true);
-  if (free_head_ == kInvalidIndex) {
-    const std::size_t occupancy =
-        static_cast<std::size_t>(allocated()) - 1 - free_count_;
-    if (occupancy >= gc_threshold_) {
-      gc_requested_.store(true, std::memory_order_seq_cst);
-    }
-  }
   // Prefer recycling a batch off the free list (slots GC'd before this
-  // shared epoch or reclaimed after a grace period): repeated shared
-  // epochs must not grow the pool while reusable capacity exists.
+  // shared epoch): repeated shared epochs must not grow the pool while
+  // reusable capacity exists.
   // Free-list slots are unreachable from any live edge, so no thread's
   // stamps can refer to them — except the persistent exclusive context,
   // which is reset per slot here (under alloc_mu_; the owner thread is
@@ -735,15 +709,8 @@ std::size_t BddManager::mark_reachable(ThreadCtx& tc, NodeIndex e) {
 }
 
 std::size_t BddManager::gc() {
-  if (shared_mode_) {
-    ThreadCtx& tc = shard_ctx();
-    if (tc.op_depth.load(std::memory_order_relaxed) != 0) {
-      throw std::logic_error(
-          "BddManager::gc: forbidden from inside a shared-mode operation");
-    }
-    return shared_collect(tc, /*force=*/true);
-  }
-  ThreadCtx& tc = ctx();
+  require_exclusive("gc");
+  ThreadCtx& tc = main_ctx_;
   assert(!tc.in_operation && "GC must not run inside a BDD operation");
   next_generation(tc);
   const NodeIndex end = allocated();
@@ -774,9 +741,8 @@ std::size_t BddManager::gc() {
 }
 
 void BddManager::maybe_gc() {
-  // Shared-mode collections are driven by the allocation path
-  // (gc_requested_) and serviced through the operation gates; this
-  // threshold check is the exclusive-mode analogue only.
+  // A shared epoch never collects; its garbage waits for the first
+  // exclusive check after end_shared.
   if (shared_mode_) return;
   if (main_ctx_.in_operation) return;
   const std::size_t live_estimate = allocated() - 1 - free_count_;
@@ -792,40 +758,17 @@ void BddManager::set_max_live_nodes(std::size_t budget) {
 }
 
 void BddManager::clear_cache() {
-  if (shared_mode_) {
-    // O(1) and safe concurrently: in-flight lookups that read the old
-    // epoch may still hit pre-bump entries, but every memoized edge
-    // stays valid — nothing is freed until a grace period elapses. The
-    // wrap-to-zero normalization needs the physical sweep, which is
-    // only legal while everyone is paused; shared_collect owns that
-    // case, so here we just skip the bump past zero.
-    std::uint32_t e = cache_epoch_.load(std::memory_order_relaxed);
-    while (!cache_epoch_.compare_exchange_weak(e, e + 1 == 0 ? 1 : e + 1,
-                                               std::memory_order_relaxed)) {
-    }
-    if (e + 1 == 0) {
-      // Wrapped without a paused sweep: pre-wrap stamps could alias once
-      // the counter climbs back. Ask for a collection — its paused window
-      // physically clears both caches (cache_wrap_dirty_ makes it sweep
-      // even though the counter never rests at zero).
-      cache_wrap_dirty_.store(true, std::memory_order_relaxed);
-      gc_requested_.store(true, std::memory_order_seq_cst);
-    }
-    return;
-  }
+  require_exclusive("clear_cache");
   // O(1): entries from older epochs simply stop matching. Only the
   // (once per ~2^32 clears) epoch wrap pays for a physical sweep — of
   // BOTH caches: a surviving lock-free entry stamped with a pre-wrap
   // epoch would otherwise false-hit when the counter climbs back to it.
-  const std::uint32_t next =
-      cache_epoch_.load(std::memory_order_relaxed) + 1;
-  cache_epoch_.store(next, std::memory_order_relaxed);
-  if (next == 0) {
+  if (++cache_epoch_ == 0) {
     for (CacheEntry& e : cache_) e.epoch = 0;
     lf_cache_.reset();  // Reallocated (zeroed) at the next begin_shared.
     lf_cache_size_ = 0;
     lf_cache_mask_ = 0;
-    cache_epoch_.store(1, std::memory_order_relaxed);
+    cache_epoch_ = 1;
   }
   // The hit-rate counters describe one cache epoch; restart them with it.
   stats_.cache_hits = 0;
@@ -860,7 +803,7 @@ bool BddManager::cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
   if (!shared_mode_) {
     ++stats_.cache_lookups;
     const CacheEntry& e = cache_[hash & cache_mask_];
-    if (e.epoch == cache_epoch_.load(std::memory_order_relaxed) &&
+    if (e.epoch == cache_epoch_ &&
         e.op == op && e.a == a && e.b == b && e.c == c) {
       ++stats_.cache_hits;
       *out = e.result;
@@ -889,7 +832,7 @@ bool BddManager::cache_find(std::uint32_t op, NodeIndex a, NodeIndex b,
   // so an overwrite race can cost a recomputation but never alias.
   if (ab != ((static_cast<std::uint64_t>(a) << 32) | b) ||
       cop != ((static_cast<std::uint64_t>(c) << 32) | op) ||
-      (er >> 32) != cache_epoch_.load(std::memory_order_relaxed)) {
+      (er >> 32) != cache_epoch_) {
     return false;
   }
   *out = static_cast<NodeIndex>(er);
@@ -922,7 +865,7 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
     e.b = b;
     e.c = c;
     e.result = result;
-    e.epoch = cache_epoch_.load(std::memory_order_relaxed);
+    e.epoch = cache_epoch_;
     return;
   }
 
@@ -952,248 +895,9 @@ void BddManager::cache_store(std::uint32_t op, NodeIndex a, NodeIndex b,
   e.key_cop.store((static_cast<std::uint64_t>(c) << 32) | op,
                   std::memory_order_relaxed);
   e.epoch_result.store(
-      (static_cast<std::uint64_t>(cache_epoch_.load(std::memory_order_relaxed))
-       << 32) |
-          result,
+      (static_cast<std::uint64_t>(cache_epoch_) << 32) | result,
       std::memory_order_relaxed);
   e.seq.store(s + 2, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// Shared-mode reclamation (epoch-based deferred free)
-// ---------------------------------------------------------------------------
-//
-// Protocol summary (details on each member in bdd.h):
-//   * Every public operation passes through an OpGate. On the 0 -> 1
-//     op_depth transition the gate announces the thread's view of
-//     reclaim_epoch_, parks while a collection pause is up, and
-//     volunteers to collect when the allocation path asked for it.
-//   * The elected collector raises pause_requested_, waits for every
-//     other registered thread to reach op_depth == 0, and then has the
-//     structure to itself: it marks from refcounted roots, unlinks dead
-//     nodes from their subtables, and moves their slots onto a retire
-//     batch stamped with the current reclamation epoch.
-//   * Retired slots return to the free list only after a grace period:
-//     batch E is freeable once every non-passive registered thread has
-//     announced seen_epoch >= E + 1 (its announcement's seq_cst read of
-//     reclaim_epoch_ synchronizes with the collector's bump, so the
-//     sweep's writes are visible and the thread demonstrably started
-//     its current window after the collection).
-//   * All handshake accesses are seq_cst operations on atomics — no
-//     fences over plain memory — so TSan models the protocol exactly.
-
-void BddManager::shared_op_enter(ThreadCtx& tc) {
-  for (;;) {
-    const std::uint32_t depth =
-        tc.op_depth.fetch_add(1, std::memory_order_seq_cst);
-    if (depth != 0) return;  // Nested call: the outer gate handled entry.
-    if (!pause_requested_.load(std::memory_order_seq_cst)) {
-      // Dekker handshake: in the seq_cst total order, either this
-      // thread's fetch_add precedes the collector's quiescence scan
-      // (the collector waits for our decrement) or the collector's
-      // pause store precedes our load (we would have read true and
-      // parked). Reading false here therefore proves any collection
-      // that proceeds will have observed this whole gate — we never
-      // run an operation concurrently with a sweep.
-      tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                          std::memory_order_seq_cst);
-      tc.passive.store(false, std::memory_order_relaxed);
-      if (gc_requested_.load(std::memory_order_seq_cst)) {
-        // Volunteer: step back to the boundary, collect, re-enter.
-        tc.op_depth.fetch_sub(1, std::memory_order_seq_cst);
-        shared_collect(tc, /*force=*/false);
-        continue;
-      }
-      return;
-    }
-    tc.op_depth.fetch_sub(1, std::memory_order_seq_cst);
-    std::unique_lock<std::mutex> lock(pause_mu_);
-    pause_cv_.wait(lock, [this] {
-      return !pause_requested_.load(std::memory_order_seq_cst);
-    });
-  }
-}
-
-std::size_t BddManager::shared_collect(ThreadCtx& tc, bool force) {
-  assert(tc.op_depth.load(std::memory_order_relaxed) == 0 &&
-         "collections run at operation boundaries only");
-  std::unique_lock<std::mutex> gc_lock(gc_mu_, std::defer_lock);
-  if (force) {
-    gc_lock.lock();
-  } else {
-    if (!gc_lock.try_lock()) return 0;  // Another collector is at it.
-    // Re-check under the lock: the previous holder may have serviced
-    // the request we volunteered for.
-    if (!gc_requested_.load(std::memory_order_seq_cst)) return 0;
-  }
-
-  // Stop the world at operation boundaries. Threads registering while
-  // the pause is up are caught by re-scanning under shard_reg_mu_ each
-  // iteration; a fresh thread's first gate parks before any traversal.
-  pause_requested_.store(true, std::memory_order_seq_cst);
-  for (;;) {
-    bool quiet = true;
-    {
-      std::lock_guard<std::mutex> reg(shard_reg_mu_);
-      for (const std::unique_ptr<ThreadCtx>& other : shard_ctxs_) {
-        if (other.get() == &tc) continue;
-        if (other->op_depth.load(std::memory_order_seq_cst) != 0) {
-          quiet = false;
-          break;
-        }
-      }
-    }
-    if (quiet) break;
-    std::this_thread::yield();
-  }
-
-  // Exclusive access from here to the pause release. Mark from
-  // refcounted roots, exactly like exclusive gc(): any node a handle
-  // can reach is live.
-  next_generation(tc);
-  std::size_t live = 0;
-  const NodeIndex end = allocated();
-  for (NodeIndex n = 1; n < end; ++n) {
-    if (ref_at(n).load(std::memory_order_relaxed) > 0 &&
-        node_at(n).var != kInvalidVar) {
-      live += mark_reachable(tc, n);
-    }
-  }
-
-  // Sweep: unlink dead nodes and retire their slots. subtable_remove
-  // must run before the field reset — the bucket is recomputed from
-  // low/high. Resetting `next` after removal is safe: the node is no
-  // longer linked, and later removals walk the repaired chain.
-  RetireBatch batch;
-  for (NodeIndex n = 1; n < end; ++n) {
-    if (tc.stamps[n].gen == tc.generation || node_at(n).var == kInvalidVar) {
-      continue;
-    }
-    subtable_remove(node_at(n).var, n);
-    node_at(n).var = kInvalidVar;
-    node_at(n).low = kInvalidIndex;
-    node_at(n).high = kInvalidIndex;
-    node_at(n).next = kInvalidIndex;
-    ref_at(n).store(0, std::memory_order_relaxed);
-    batch.slots.push_back(n);
-  }
-
-  // Invalidate memoized results that may point at retired nodes: O(1)
-  // epoch bump, with the (once per ~2^32) wrap paying for a physical
-  // sweep of both caches — legal here precisely because everyone is
-  // paused.
-  std::uint32_t next_epoch = cache_epoch_.load(std::memory_order_relaxed) + 1;
-  if (next_epoch == 0 || cache_wrap_dirty_.load(std::memory_order_relaxed)) {
-    for (CacheEntry& e : cache_) e.epoch = 0;
-    for (std::size_t i = 0; i < lf_cache_size_; ++i) {
-      lf_cache_[i].seq.store(0, std::memory_order_relaxed);
-      lf_cache_[i].key_ab.store(0, std::memory_order_relaxed);
-      lf_cache_[i].key_cop.store(0, std::memory_order_relaxed);
-      lf_cache_[i].epoch_result.store(0, std::memory_order_relaxed);
-    }
-    cache_wrap_dirty_.store(false, std::memory_order_relaxed);
-    next_epoch = 1;
-  }
-  cache_epoch_.store(next_epoch, std::memory_order_relaxed);
-
-  // Every thread is at a boundary, so batches from previous collections
-  // have trivially satisfied their grace period — drain them all, then
-  // enqueue the fresh batch (it still waits out a full grace period
-  // through the allocation path's expired-only drains).
-  const std::size_t retired = batch.slots.size();
-  {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    drain_retire_batches_locked(/*only_expired=*/false);
-    if (!batch.slots.empty()) {
-      batch.epoch = reclaim_epoch_.load(std::memory_order_relaxed);
-      retire_batches_.push_back(std::move(batch));
-    }
-  }
-
-  reclaim_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                      std::memory_order_seq_cst);
-  gc_requested_.store(false, std::memory_order_seq_cst);
-
-  stats_.retired_nodes += retired;
-  ++stats_.shared_gc_runs;
-  stats_.live_nodes = live;
-  stats_.allocated_nodes = allocated() - 1;
-  if (live > stats_.peak_live_nodes) stats_.peak_live_nodes = live;
-
-  // Clear-then-notify under pause_mu_, so a thread that just checked
-  // the predicate cannot fall asleep across the notification.
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    pause_requested_.store(false, std::memory_order_seq_cst);
-  }
-  pause_cv_.notify_all();
-  return retired;
-}
-
-void BddManager::drain_retire_batches_locked(bool only_expired) {
-  // Caller holds alloc_mu_. Lock order: alloc_mu_ before shard_reg_mu_
-  // (matches the collector, which takes neither while holding the other
-  // except through this function).
-  if (retire_batches_.empty()) return;
-  std::uint64_t safe_epoch = std::numeric_limits<std::uint64_t>::max();
-  if (only_expired) {
-    std::lock_guard<std::mutex> reg(shard_reg_mu_);
-    for (const std::unique_ptr<ThreadCtx>& tcp : shard_ctxs_) {
-      if (tcp->passive.load(std::memory_order_seq_cst)) continue;
-      safe_epoch = std::min(
-          safe_epoch, tcp->seen_epoch.load(std::memory_order_seq_cst));
-    }
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < retire_batches_.size(); ++i) {
-    RetireBatch& b = retire_batches_[i];
-    if (only_expired && b.epoch + 1 > safe_epoch) {
-      // Compact in place; a kept leading batch must not be
-      // move-assigned onto itself (self-move empties the vector and
-      // silently leaks every slot in it).
-      if (kept != i) retire_batches_[kept] = std::move(b);
-      ++kept;
-      continue;
-    }
-    stats_.reclaimed_nodes += b.slots.size();
-    for (NodeIndex n : b.slots) {
-      node_at(n).next = free_head_;
-      free_head_ = n;
-      ++free_count_;
-    }
-  }
-  retire_batches_.resize(kept);
-}
-
-void BddManager::quiescent_point() {
-  if (!shared_mode_) return;
-  ThreadCtx& tc = shard_ctx();
-  if (tc.op_depth.load(std::memory_order_relaxed) != 0) return;
-  if (pause_requested_.load(std::memory_order_seq_cst)) {
-    std::unique_lock<std::mutex> lock(pause_mu_);
-    pause_cv_.wait(lock, [this] {
-      return !pause_requested_.load(std::memory_order_seq_cst);
-    });
-  }
-  // Announce after any park so the freshest epoch is published; a
-  // stale-but-current announcement only delays reclamation, never
-  // unblocks it early.
-  tc.seen_epoch.store(reclaim_epoch_.load(std::memory_order_seq_cst),
-                      std::memory_order_seq_cst);
-  if (gc_requested_.load(std::memory_order_seq_cst)) {
-    shared_collect(tc, /*force=*/false);
-  }
-}
-
-void BddManager::mark_thread_passive() {
-  if (!shared_mode_) return;
-  shard_ctx().passive.store(true, std::memory_order_seq_cst);
-}
-
-void BddManager::set_gc_threshold(std::size_t threshold) {
-  require_exclusive("set_gc_threshold");
-  gc_threshold_ = threshold == 0 ? 1 : threshold;
 }
 
 }  // namespace covest::bdd

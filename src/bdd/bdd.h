@@ -90,33 +90,19 @@
 //        below needs no cross-thread coordination.
 //      - External reference counts are atomics, so handles may be
 //        copied/destroyed on any registered thread.
-//    Memory reclamation inside a shared epoch is epoch-based deferred
-//    reclamation with cooperative pauses: every public node-touching
-//    entry point passes an `OpGate` that counts the thread into its
-//    operation (`op_depth`) and announces the reclamation epoch it has
-//    observed (`seen_epoch`). A collection (`gc()` from any registered
-//    thread, or a volunteer when pool occupancy crosses the GC
-//    threshold) raises `pause_requested_`, waits until every
-//    registered thread is between operations (raw unreferenced
-//    intermediates only exist *inside* an operation), then marks from the
-//    refcounted roots and sweeps dead nodes onto a *retire batch*
-//    stamped with the global reclamation epoch. Retired slots rejoin
-//    the free list only after a full grace period — every
-//    non-passive registered thread has entered an operation after the
-//    collection — so a reader can never observe a recycled slot.
-//    `clear_cache` is an O(1) atomic epoch bump. `new_var`, reordering
-//    and `live_node_count` still throw `std::logic_error` while shared
-//    mode is on. Each registered thread sees the exact same canonical
-//    BDDs, so results are bit-identical to an exclusive-mode
-//    computation — collections only remove unreachable nodes, which
-//    canonicity makes unobservable.
+//    A shared epoch never collects: nodes that die inside it are
+//    ordinary garbage, freed by the first exclusive collection after
+//    `end_shared` (and counted against `max_live_nodes` until then).
+//    `gc`, `clear_cache`, `new_var`, reordering and `live_node_count`
+//    throw `std::logic_error` while shared mode is on. Each registered
+//    thread sees the exact same canonical BDDs, so results are
+//    bit-identical to an exclusive-mode computation.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -247,13 +233,6 @@ struct BddStats {
   /// make_node calls that restored canonicity by complementing — i.e.
   /// node shapes that a complement-free package would have duplicated.
   std::size_t complement_canonicalizations = 0;
-  /// Cooperative shared-mode collections (pause + mark + sweep).
-  std::size_t shared_gc_runs = 0;
-  /// Dead nodes moved onto retire batches by shared-mode collections.
-  std::size_t retired_nodes = 0;
-  /// Retired nodes whose grace period expired and that rejoined the
-  /// free list (<= retired_nodes; the rest drain at `end_shared`).
-  std::size_t reclaimed_nodes = 0;
 
   /// Computed-cache hit rate over the current cache epoch, in [0, 1].
   double cache_hit_rate() const {
@@ -384,56 +363,26 @@ class BddManager {
   // -- Memory management ---------------------------------------------------------
 
   /// Mark-and-sweep collection rooted at live handles. Invalidates nothing
-  /// that is still referenced. Returns the number of nodes freed (in
-  /// shared mode: moved onto an epoch-stamped retire batch; they rejoin
-  /// the free list after a grace period). Legal in both modes; in
-  /// shared mode the caller must be a registered thread between
-  /// operations, and the collection runs under a cooperative pause.
+  /// that is still referenced. Returns the number of nodes freed.
+  /// Exclusive mode only (throws `std::logic_error` in shared mode).
   std::size_t gc();
 
-  /// Clears the computed cache; exposed mainly for benchmarking
-  /// cold-cache behaviour. Exclusive mode also resets the per-epoch
-  /// cache statistics (`cache_hits`, `cache_lookups`). In shared mode
-  /// this is a single atomic epoch bump, safe concurrent with lookups
-  /// (a racing reader may still use a pre-bump memo, which is
-  /// semantically valid — nothing has been freed).
+  /// Clears the computed cache (an O(1) epoch bump) and resets the
+  /// per-epoch cache statistics (`cache_hits`, `cache_lookups`);
+  /// exposed mainly for benchmarking cold-cache behaviour. Exclusive
+  /// mode only.
   void clear_cache();
-
-  /// Pool-occupancy level (allocated - free) at which automatic
-  /// collection triggers. Exclusive mode adapts it upward when a
-  /// collection fails to free much; shared mode treats it as the
-  /// request threshold for volunteer collections. Settable only in
-  /// exclusive mode; also seeded from the COVEST_GC_THRESHOLD
-  /// environment variable at construction (tests/soaks force small
-  /// pools into collection that way).
-  void set_gc_threshold(std::size_t threshold);
-  std::size_t gc_threshold() const noexcept { return gc_threshold_; }
-
-  /// Announces that the calling registered thread is between operations
-  /// and has observed the current reclamation epoch — the shared-mode
-  /// quiescent state. Call it at natural scheduling boundaries (the
-  /// engine calls it next to `governor_tick()` in its fix-point row
-  /// loops): it parks the thread for the duration of any in-progress
-  /// collection and volunteers to run a requested one. No-op in
-  /// exclusive mode or inside an operation.
-  void quiescent_point();
-
-  /// Marks the calling registered thread passive: it promises not to
-  /// touch the manager again until its next operation (which clears
-  /// the flag). Passive threads are skipped by the grace-period scan,
-  /// so a thread that finished its chunk early cannot stall
-  /// reclamation forever. No-op in exclusive mode.
-  void mark_thread_passive();
 
   /// Node budget: when nonzero, growing the pool past `budget` occupied
   /// slots throws covest::ResourceExhausted instead of allocating.
   /// Occupancy is `allocated() - 1 - free_count` (terminal excluded) —
   /// live nodes plus garbage the next GC would reclaim — so the budget
   /// bounds resident pool memory, not the reachable-node count. Applies
-  /// to both epochs; in shared mode enforcement is per arena refill, so
-  /// up to `kArenaBlock` slots per shard thread of slack. Settable only
-  /// in exclusive mode; exhaustion fires before any slot is handed out,
-  /// so the pool is never left inconsistent.
+  /// to both modes, and a shared epoch's garbage counts until the next
+  /// exclusive collection. In shared mode enforcement is per arena
+  /// refill, so up to `kArenaBlock` slots per shard thread of slack.
+  /// Settable only in exclusive mode; exhaustion fires before any slot
+  /// is handed out, so the pool is never left inconsistent.
   void set_max_live_nodes(std::size_t budget);
   std::size_t max_live_nodes() const noexcept { return max_live_nodes_; }
 
@@ -481,16 +430,16 @@ class BddManager {
   /// table and the wait-free computed cache; each operation recurses
   /// serially on its calling thread. Must be called from the owning
   /// thread, outside any operation. Until `end_shared`, `new_var`,
-  /// reordering and `live_node_count` throw `std::logic_error`; `gc`
-  /// and `clear_cache` are legal from registered threads (cooperative
-  /// pause + deferred reclamation, see the header comment). The
-  /// subtables are pre-sized here and the epoch never resizes them.
+  /// reordering, `live_node_count`, `gc` and `clear_cache` throw
+  /// `std::logic_error`; the epoch never collects (see the header
+  /// comment). The subtables are pre-sized here and the epoch never
+  /// resizes them.
   void begin_shared(std::size_t max_threads);
 
   /// Leaves shared mode: merges the per-thread statistics, returns
-  /// unused arena slots to the free list, drains every outstanding
-  /// retire batch (grace is trivially satisfied once the threads are
-  /// joined), and rebinds exclusive ownership to the calling thread.
+  /// unused arena slots to the free list, and rebinds exclusive
+  /// ownership to the calling thread. The epoch's dead nodes stay in
+  /// the pool until the next exclusive collection.
   /// All registered threads must have finished (the caller joins them
   /// first).
   void end_shared();
@@ -578,13 +527,6 @@ class BddManager {
     NodeIndex arena_end = 0;   ///< One past the arena's last slot.
     std::vector<NodeIndex> recycled;  ///< Free-list slots claimed in bulk.
     BddStats stats;            ///< Shared-mode counter deltas.
-
-    // Reclamation protocol state (all seq_cst at the sites that matter:
-    // the gate/collector handshake is a Dekker-style store-load pattern,
-    // spelled with operations rather than fences so TSan models it).
-    std::atomic<std::uint32_t> op_depth{0};  ///< Public-op nesting depth.
-    std::atomic<std::uint64_t> seen_epoch{0};  ///< Last epoch announced.
-    std::atomic<bool> passive{false};  ///< Skipped by the grace scan.
   };
 
   struct Subtable {
@@ -695,67 +637,25 @@ class BddManager {
   /// builds included) instead of corrupting a shared pool.
   void require_exclusive(const char* what) const;
 
-  // -- Shared-mode reclamation -----------------------------------------------
-
-  /// Dead slots from one collection, freeable once every non-passive
-  /// registered thread has announced `seen_epoch >= epoch + 1`.
-  struct RetireBatch {
-    std::uint64_t epoch = 0;
-    std::vector<NodeIndex> slots;
-  };
-
-  /// RAII gate every public node-touching entry point passes through.
-  /// Exclusive mode: the old `maybe_gc(); OperationGuard` pair (the
-  /// `allow_gc` flag preserves the historical set of auto-GC points —
-  /// inspection entries never triggered collection and still don't).
-  /// Shared mode: counts the thread into the operation, announcing the
-  /// observed reclamation epoch and parking across collection pauses on
-  /// the outermost entry (`shared_op_enter`).
+  /// RAII gate every public node-touching entry point passes through:
+  /// the automatic-collection point (`allow_gc`; inspection entries
+  /// never collect) plus the `in_operation` flag that keeps `gc` out of
+  /// a running recursion. `maybe_gc` is a no-op in shared mode.
   class OpGate {
    public:
     OpGate(BddManager& mgr, ThreadCtx& tc, bool allow_gc = true)
-        : mgr_(mgr),
-          tc_(tc),
-          shared_(mgr.shared_mode_),
-          was_in_operation_(tc.in_operation) {
-      if (shared_) {
-        mgr.shared_op_enter(tc);
-      } else if (allow_gc) {
-        mgr.maybe_gc();
-      }
+        : tc_(tc), was_in_operation_(tc.in_operation) {
+      if (allow_gc) mgr.maybe_gc();
       tc.in_operation = true;
     }
-    ~OpGate() {
-      tc_.in_operation = was_in_operation_;
-      if (shared_) tc_.op_depth.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    ~OpGate() { tc_.in_operation = was_in_operation_; }
     OpGate(const OpGate&) = delete;
     OpGate& operator=(const OpGate&) = delete;
 
    private:
-    BddManager& mgr_;
     ThreadCtx& tc_;
-    bool shared_;
     bool was_in_operation_;
   };
-
-  /// Outermost-entry protocol: announce the observed epoch, park if a
-  /// collection is pausing the epoch, volunteer for a requested one.
-  void shared_op_enter(ThreadCtx& tc);
-  /// Cooperative collection: pause (wait for every registered thread to
-  /// reach an operation boundary), mark from refcounted roots, sweep
-  /// dead nodes onto a retire batch, invalidate the computed cache,
-  /// advance the reclamation epoch, resume. `force` waits for the
-  /// collector election (explicit `gc()`); volunteers use try-lock and
-  /// simply return when another thread is already collecting. Returns
-  /// the number of nodes retired.
-  std::size_t shared_collect(ThreadCtx& tc, bool force);
-  /// Returns retire-batch slots to the free list. `only_expired`
-  /// restricts to batches whose grace period has passed (the arena
-  /// refill path); the collector and `end_shared` drain everything
-  /// (their callers guarantee global quiescence). Caller holds
-  /// `alloc_mu_`.
-  void drain_retire_batches_locked(bool only_expired);
 
   // -- Thread contexts -------------------------------------------------------
 
@@ -869,14 +769,14 @@ class BddManager {
   std::size_t cache_mask_;
   std::size_t cache_max_size_;
   std::size_t cache_stores_since_grow_ = 0;
-  /// 0 is reserved for "never valid". Atomic because shared-mode
-  /// `clear_cache`/collections bump it concurrently with lookups; all
-  /// accesses are relaxed — a validation against a stale epoch value
-  /// only re-admits a memo that was correct when stored (nothing is
-  /// freed until the grace period, which orders after the bump).
-  std::atomic<std::uint32_t> cache_epoch_{1};
+  /// 0 is reserved for "never valid". Written only in exclusive mode,
+  /// so shared-mode readers see a constant.
+  std::uint32_t cache_epoch_ = 1;
   NodeIndex free_head_ = kInvalidIndex;
   std::size_t free_count_ = 0;
+  /// Pool occupancy (allocated - free) at which `maybe_gc` collects;
+  /// adapts upward when a collection frees little. Seeded from the
+  /// COVEST_GC_THRESHOLD environment variable at construction.
   std::size_t gc_threshold_;
   std::size_t max_live_nodes_ = 0;  ///< 0 = unbudgeted (see setter).
   /// Exclusive-mode thread-affinity guard: `make_node` asserts (debug
@@ -907,31 +807,6 @@ class BddManager {
   std::unique_ptr<LfCacheEntry[]> lf_cache_;
   std::size_t lf_cache_mask_ = 0;
   std::size_t lf_cache_size_ = 0;
-
-  // -- Shared-mode reclamation state -----------------------------------------
-  /// Collector election: exactly one thread runs a collection at a
-  /// time. Volunteers try-lock; explicit `gc()` blocks.
-  std::mutex gc_mu_;
-  /// Raised by the elected collector; every gate/quiescent point parks
-  /// on `pause_cv_` while it is up. Cleared under `pause_mu_` before
-  /// the notify so parked threads cannot miss the wakeup.
-  std::atomic<bool> pause_requested_{false};
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  /// Set by the arena-refill path when occupancy crosses the GC
-  /// threshold; the next thread through a gate or quiescent point
-  /// volunteers to collect.
-  std::atomic<bool> gc_requested_{false};
-  /// Global reclamation epoch: bumped once per collection. A retire
-  /// batch stamped E is freeable once every non-passive registered
-  /// thread announces seen_epoch >= E + 1.
-  std::atomic<std::uint64_t> reclaim_epoch_{1};
-  /// Outstanding retire batches, oldest first. Guarded by `alloc_mu_`.
-  std::vector<RetireBatch> retire_batches_;
-  /// Set when a shared-mode `clear_cache` wraps `cache_epoch_` past zero
-  /// without a paused physical sweep; the next collection's stop window
-  /// clears both caches and resets this.
-  std::atomic<bool> cache_wrap_dirty_{false};
 };
 
 }  // namespace covest::bdd

@@ -53,9 +53,8 @@ double BddManager::sat_count_rec(ThreadCtx& tc, NodeIndex slot) {
 
 double BddManager::sat_count(const Bdd& f, const std::vector<Var>& over) {
   assert(f.manager() == this);
-  // Inspection entries never trigger exclusive GC (allow_gc=false keeps
-  // historical collection timing), but in shared mode the gate is what
-  // keeps a concurrent collection from sweeping under the traversal.
+  // Inspection entries never trigger GC (allow_gc=false keeps the
+  // historical collection timing).
   OpGate gate(*this, ctx(), /*allow_gc=*/false);
 #ifndef NDEBUG
   for (Var v : support(f)) {

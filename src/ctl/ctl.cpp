@@ -87,29 +87,6 @@ bool structural_equal(const Formula& a, const Formula& b) {
 
 namespace {
 
-// Subtrees mergeable into one atom. Implications are excluded: the paper
-// gives `b -> f` its own coverage rule (only the consequent contributes),
-// so `(a -> b) & c` keeps its structure while `!a & b` merges. Users who
-// *want* an implication inside an atom can write it at the expression
-// level, e.g. `((a -> b)) == flag` — "the syntax of the formula better
-// captures the verification intent of the user" (paper, Section 2.1).
-bool subtree_is_propositional(const Formula& f) {
-  switch (f.op()) {
-    case CtlOp::kProp:
-      return true;
-    case CtlOp::kNot:
-    case CtlOp::kAnd:
-    case CtlOp::kOr:
-    case CtlOp::kIff:
-      for (std::size_t i = 0; i < f.arity(); ++i) {
-        if (!subtree_is_propositional(f.arg(i))) return false;
-      }
-      return true;
-    default:
-      return false;
-  }
-}
-
 Expr subtree_to_expr(const Formula& f) {
   switch (f.op()) {
     case CtlOp::kProp:
@@ -120,37 +97,66 @@ Expr subtree_to_expr(const Formula& f) {
       return subtree_to_expr(f.arg(0)) & subtree_to_expr(f.arg(1));
     case CtlOp::kOr:
       return subtree_to_expr(f.arg(0)) | subtree_to_expr(f.arg(1));
-    case CtlOp::kImplies:
-      return subtree_to_expr(f.arg(0)).implies(subtree_to_expr(f.arg(1)));
     case CtlOp::kIff:
       return subtree_to_expr(f.arg(0)).iff(subtree_to_expr(f.arg(1)));
     default:
-      throw std::logic_error("subtree_to_expr on temporal operator");
+      throw std::logic_error("subtree_to_expr on a non-propositional operator");
   }
+}
+
+// One bottom-up pass. Sets `*propositional` when `f` is a subtree
+// mergeable into one atom and then returns `f` itself, leaving the merge
+// to the nearest non-propositional ancestor (or the caller), so each
+// maximal propositional subtree is converted once. Implications are
+// never mergeable: the paper gives `b -> f` its own coverage rule (only
+// the consequent contributes), so `(a -> b) & c` keeps its structure
+// while `!a & b` merges. Users who *want* an implication inside an atom
+// can write it at the expression level, e.g. `((a -> b)) == flag` —
+// "the syntax of the formula better captures the verification intent of
+// the user" (paper, Section 2.1).
+Formula collapse_rec(const Formula& f, bool* propositional) {
+  const CtlOp op = f.op();
+  if (op == CtlOp::kProp) {
+    *propositional = true;
+    return f;
+  }
+  const bool mergeable = op == CtlOp::kNot || op == CtlOp::kAnd ||
+                         op == CtlOp::kOr || op == CtlOp::kIff;
+  std::vector<Formula> args;
+  std::vector<bool> arg_propositional;
+  args.reserve(f.arity());
+  bool all_propositional = mergeable;
+  for (std::size_t i = 0; i < f.arity(); ++i) {
+    bool p = false;
+    args.push_back(collapse_rec(f.arg(i), &p));
+    arg_propositional.push_back(p);
+    all_propositional &= p;
+  }
+  *propositional = all_propositional;
+  if (all_propositional) return f;
+
+  // An already-collapsed formula comes back as the same node, so the
+  // per-row re-collapse in the estimator allocates nothing and its plan
+  // lookup matches by identity.
+  bool changed = false;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (arg_propositional[i] && args[i].op() != CtlOp::kProp) {
+      args[i] = Formula::prop(subtree_to_expr(args[i]));
+    }
+    changed |= args[i].id() != f.arg(i).id();
+  }
+  return changed ? Formula::make(op, std::move(args)) : f;
 }
 
 }  // namespace
 
 Formula collapse_propositional(const Formula& f) {
-  // Implications keep their structure: the coverage semantics of
-  // `b -> f` differs from the atom `b -> f` (Definition 5 gives coverage
-  // only to the consequent).
-  if (f.op() == CtlOp::kProp) return f;
-
-  if (subtree_is_propositional(f)) {
+  bool propositional = false;
+  const Formula collapsed = collapse_rec(f, &propositional);
+  if (propositional && f.op() != CtlOp::kProp) {
     return Formula::prop(subtree_to_expr(f));
   }
-
-  // An already-collapsed formula comes back as the same node, so the
-  // per-row re-collapse in the estimator allocates nothing and its plan
-  // lookup matches by identity.
-  std::vector<Formula> args;
-  bool changed = false;
-  for (std::size_t i = 0; i < f.arity(); ++i) {
-    args.push_back(collapse_propositional(f.arg(i)));
-    changed |= args.back().id() != f.arg(i).id();
-  }
-  return changed ? Formula::make(f.op(), std::move(args)) : f;
+  return collapsed;
 }
 
 // ---------------------------------------------------------------------------

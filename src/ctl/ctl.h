@@ -119,8 +119,9 @@ struct FormulaStructuralEq {
 };
 
 /// Merges propositional And/Or/Not/Iff subtrees into single kProp atoms.
-/// Implications are never merged (unless buried under a propositional
-/// operator, where the structure cannot be preserved anyway). Idempotent.
+/// Implications are never merged, not even under a propositional
+/// operator. Idempotent: an already-collapsed formula comes back as the
+/// same node. One O(n) pass.
 Formula collapse_propositional(const Formula& f);
 
 /// Empty string when `f` (after collapse) lies in the paper's acceptable

@@ -48,9 +48,6 @@ PhaseStats snapshot(bdd::BddManager& mgr, double ms) {
   p.cache_hit_rate = st.cache_hit_rate();
   p.passes = 1;  // This session ran the phase once.
   p.node_budget = mgr.max_live_nodes();
-  p.shared_gc_runs = st.shared_gc_runs;
-  p.retired_nodes = st.retired_nodes;
-  p.reclaimed_nodes = st.reclaimed_nodes;
   return p;
 }
 
@@ -316,7 +313,6 @@ SuiteResult Session::run(const CoverageRequest& request,
     try {
       for (std::size_t i = 0; i < specs.size(); ++i) {
         governor->tick();  // Phase-boundary deadline check.
-        fsm_.mgr().quiescent_point();  // Reclamation grace announcement.
         const auto t_prop = Clock::now();
         const ctl::CheckResult check = checker_.check(formulas[i]);
         PropertyResult pr;
@@ -405,7 +401,6 @@ SuiteResult Session::run(const CoverageRequest& request,
     try {
       for (std::size_t i = 0; i < names.size(); ++i) {
         governor->tick();  // Per-row deadline check.
-        fsm_.mgr().quiescent_point();  // Reclamation grace announcement.
         SignalRow row = estimate_row(request, names[i], specs, formulas,
                                      result.properties);
 
@@ -465,7 +460,6 @@ SuiteResult Session::run(const CoverageRequest& request,
             for (std::size_t i = first; i < last; ++i) {
               if (stop.load(std::memory_order_relaxed)) break;
               governor->tick();  // Per-row deadline check.
-              mgr.quiescent_point();  // Reclamation grace announcement.
               SignalRow row = estimate_row(request, names[i], specs,
                                            formulas, result.properties);
 
@@ -491,9 +485,6 @@ SuiteResult Session::run(const CoverageRequest& request,
                 break;
               }
             }
-            // Done with this chunk: a finished shard's stale epoch view
-            // must not stall reclamation for siblings still estimating.
-            mgr.mark_thread_passive();
           } catch (...) {
             failures[s] = std::current_exception();
             stop.store(true, std::memory_order_relaxed);

@@ -247,13 +247,9 @@ struct PhaseStats {
   std::size_t partial_relations = 0;
   std::size_t clusters = 0;
   std::size_t largest_cluster = 0;
-  /// Shared-mode reclamation counters (bdd::BddStats), cumulative for
-  /// the manager: collections run inside shared epochs, dead slots
-  /// moved onto retire batches, and slots actually returned to the free
-  /// list after their grace period. All zero for serial runs (and then
-  /// omitted from the JSON stats).
+  /// Always 0; kept for perfbench/src/measure.cpp until it stops reading it.
   std::size_t shared_gc_runs = 0;
-  std::size_t retired_nodes = 0;
+  /// Always 0; kept for perfbench/src/measure.cpp until it stops reading it.
   std::size_t reclaimed_nodes = 0;
 };
 

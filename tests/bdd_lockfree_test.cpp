@@ -247,17 +247,15 @@ TEST(BddLockFreeTest, UnregisteredThreadIsRejectedInLockFreeMode) {
 }
 
 TEST(BddLockFreeTest, StructuralMutationThrowsWhileShared) {
-  // The remaining exclusive-only entry points are hard errors in release
-  // builds too: nothing may move or relabel nodes under a shared epoch.
-  // gc() and clear_cache() are legal since the epoch-based reclamation
-  // landed — they collect through the stop-the-world-at-op-boundaries
-  // protocol instead of throwing.
+  // The exclusive-only entry points are hard errors in release builds
+  // too: nothing may free, move or relabel nodes under a shared epoch,
+  // and a shared epoch never collects.
   BddManager mgr(4);
   const Bdd keep = mgr.var(0) & mgr.var(1);
   mgr.begin_shared(1);
   mgr.register_shard_thread();
-  EXPECT_NO_THROW(mgr.gc());
-  EXPECT_NO_THROW(mgr.clear_cache());
+  EXPECT_THROW(mgr.gc(), std::logic_error);
+  EXPECT_THROW(mgr.clear_cache(), std::logic_error);
   EXPECT_FALSE((mgr.var(0) & mgr.var(1)).is_false());  // Still operable.
   EXPECT_THROW(mgr.new_var(), std::logic_error);
   EXPECT_THROW(mgr.live_node_count(), std::logic_error);

@@ -57,6 +57,28 @@ TEST(CtlAstTest, CollapseIsIdempotent) {
   EXPECT_EQ(to_string(once), to_string(twice));
 }
 
+TEST(CtlAstTest, NestedMixedSubtreesCollapseOnceAndKeepIdentity) {
+  // AG((a | b) & AX(!c & d)): the And keeps its structure (one operand
+  // is temporal), while each propositional operand, at either depth,
+  // merges into one atom.
+  const auto p = [](const char* name) {
+    return Formula::prop(Expr::var(name));
+  };
+  const Formula f =
+      Formula::AG((p("a") | p("b")) & Formula::AX(!p("c") & p("d")));
+  const Formula c = collapse_propositional(f);
+  ASSERT_EQ(c.op(), CtlOp::kAG);
+  const Formula& conj = c.arg(0);
+  ASSERT_EQ(conj.op(), CtlOp::kAnd);
+  ASSERT_EQ(conj.arg(0).op(), CtlOp::kProp);
+  EXPECT_EQ(expr::to_string(conj.arg(0).prop()), "a | b");
+  ASSERT_EQ(conj.arg(1).op(), CtlOp::kAX);
+  ASSERT_EQ(conj.arg(1).arg(0).op(), CtlOp::kProp);
+  EXPECT_EQ(expr::to_string(conj.arg(1).arg(0).prop()), "!c & d");
+  // An already-collapsed formula comes back as the very same node.
+  EXPECT_EQ(collapse_propositional(c).id(), c.id());
+}
+
 // --------------------------------------------------------------------------
 // Acceptable ACTL subset
 // --------------------------------------------------------------------------

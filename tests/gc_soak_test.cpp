@@ -1,15 +1,14 @@
-// The reclamation soak battery: concurrent shared-mode collections at
-// the BDD layer (retire batches, grace periods, forced collections
-// racing working threads) and the server-shaped executor soak — 100+
-// warm-cache requests with model churn, sharded estimation epochs and
-// periodic stop-the-world maintenance windows, held to byte-identical
-// replies and a live-node plateau.
+// The reclamation soak battery: shared epochs that leave garbage behind
+// for the next exclusive collection at the BDD layer, and the
+// server-shaped executor soak — 100+ warm-cache requests with model
+// churn, sharded estimation epochs and periodic stop-the-world
+// maintenance windows, held to byte-identical replies and a live-node
+// plateau.
 // Built for the sanitizer CI matrix: every assertion here runs under
 // TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -38,8 +37,8 @@ constexpr std::size_t kFileModels = sizeof(kModels) / sizeof(kModels[0]);
 /// The file models plus one generated token ring with traces. Once the
 /// estimator has planned a suite (before the sharded fan-out), the
 /// example models' rows only reuse nodes verification already built;
-/// the ring's per-row trace searches are what allocate enough inside a
-/// shared epoch for it to collect there.
+/// the ring's per-row trace searches are what allocate inside a shared
+/// epoch, leaving garbage for the next exclusive collection.
 constexpr std::size_t kModelCount = kFileModels + 1;
 
 std::string model_path(const char* name) {
@@ -76,102 +75,64 @@ std::string canonical(const SuiteResult& r) {
 }
 
 // --------------------------------------------------------------------------
-// bdd.h shared-mode reclamation, driven directly
+// bdd.h shared epochs, driven directly
 // --------------------------------------------------------------------------
 
-TEST(SharedGcSoakTest, ConcurrentCollectionsReclaimAndStayCanonical) {
+TEST(SharedGcSoakTest, EpochGarbageIsCollectedByTheNextExclusiveGc) {
   constexpr unsigned kVars = 14;
   constexpr std::size_t kWorkers = 3;
-  constexpr int kRounds = 60;
+  constexpr int kEpochs = 60;
   bdd::BddManager mgr(kVars);
-  // Low threshold: the allocator raises gc_requested_ as soon as the
-  // free list runs dry, so collections genuinely interleave with the
-  // working threads below instead of never firing.
-  mgr.set_gc_threshold(2048);
   std::vector<bdd::Bdd> vars;
   for (unsigned i = 0; i < kVars; ++i) vars.push_back(mgr.var(i));
 
-  // Deterministic per-(lane, round) formula; every round's
-  // intermediates die when the next round overwrites the handle —
-  // exactly the garbage concurrent collections must reclaim while
-  // sibling threads keep building.
+  // Deterministic per-(lane, epoch) formula; every epoch's intermediates,
+  // and the previous epoch's result once `finals` is overwritten, are
+  // the garbage an epoch leaves behind.
   const auto family = [&vars](bdd::BddManager& m, std::size_t lane,
-                              int round) {
-    bdd::Bdd acc = (round % 2) != 0 ? m.bdd_true() : m.bdd_false();
+                              int epoch) {
+    bdd::Bdd acc = (epoch % 2) != 0 ? m.bdd_true() : m.bdd_false();
     for (std::size_t i = 0; i < vars.size(); ++i) {
-      const bdd::Bdd& v = vars[(i * (lane + 1) + round) % vars.size()];
-      if ((round % 2) != 0) {
+      const bdd::Bdd& v = vars[(i * (lane + 1) + epoch) % vars.size()];
+      if ((epoch % 2) != 0) {
         acc &= v ^ vars[i];
       } else {
-        acc = ite(v, acc, !vars[i] | acc);
+        acc = ite(v, acc, (!vars[i]) | acc);
       }
     }
     return acc;
   };
 
   std::vector<bdd::Bdd> finals(kWorkers);
-  mgr.begin_shared(kWorkers + 1);
-  {
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kWorkers; ++t) {
-      threads.emplace_back([&, t] {
-        mgr.register_shard_thread();
-        for (int round = 0; round < kRounds; ++round) {
-          finals[t] = family(mgr, t, round);
-          // Grace announcement between units of work — the governor
-          // boundary the engine loops hit.
-          mgr.quiescent_point();
-        }
-        // A finished worker's stale epoch view must not stall
-        // reclamation for the threads still running.
-        mgr.mark_thread_passive();
-      });
-    }
-    // A collector thread forces full collections while the workers
-    // are mid-build: every one of them must park at its next
-    // operation gate and resume with its handles intact.
-    threads.emplace_back([&] {
-      mgr.register_shard_thread();
-      for (int i = 0; i < 8; ++i) {
-        mgr.gc();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        mgr.quiescent_point();
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    mgr.begin_shared(kWorkers);
+    {
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kWorkers; ++t) {
+        threads.emplace_back([&, t] {
+          mgr.register_shard_thread();
+          finals[t] = family(mgr, t, epoch);
+        });
       }
-      mgr.mark_thread_passive();
-    });
-    for (std::thread& th : threads) th.join();
+      for (std::thread& th : threads) th.join();
+    }
+    mgr.end_shared();
+    // The epoch never collected; the exclusive collection after it
+    // frees what the epoch left behind.
+    EXPECT_GT(mgr.gc(), 0u) << "epoch " << epoch;
   }
-  mgr.end_shared();
 
-  const bdd::BddStats stats = mgr.stats();
-  EXPECT_GT(stats.shared_gc_runs, 0u);
-  EXPECT_GT(stats.retired_nodes, 0u);
-  EXPECT_GT(stats.reclaimed_nodes, 0u);
-  // The plateau: with reclamation working, the pool stays near the
-  // collection threshold instead of absorbing every round's garbage
-  // (3 workers x 60 rounds would otherwise pile up tens of
-  // thousands of dead slots).
-  EXPECT_LT(stats.allocated_nodes, 32768u);
+  // The plateau: with every epoch's garbage collected, the pool stays
+  // small instead of absorbing 60 epochs x 3 lanes of dead nodes.
+  mgr.live_node_count();
+  EXPECT_LT(mgr.stats().allocated_nodes, 4096u);
 
   // Collections must not have touched live structure: exclusive-mode
   // recomputation lands on the identical canonical edge.
   EXPECT_TRUE(mgr.check_canonical());
   for (std::size_t t = 0; t < kWorkers; ++t) {
-    EXPECT_EQ(finals[t], family(mgr, t, kRounds - 1)) << "lane " << t;
+    EXPECT_EQ(finals[t], family(mgr, t, kEpochs - 1)) << "lane " << t;
   }
-}
-
-TEST(SharedGcSoakTest, QuiescentPointIsSafeAnywhere) {
-  bdd::BddManager mgr(4);
-  mgr.quiescent_point();  // Exclusive mode: a no-op, never a throw.
-  const bdd::Bdd a = mgr.var(0) & mgr.var(1);
-  mgr.begin_shared(1);
-  mgr.register_shard_thread();
-  mgr.quiescent_point();
-  const bdd::Bdd b = a | mgr.var(2);
-  mgr.end_shared();
-  EXPECT_FALSE(b.is_false());
-  EXPECT_TRUE(mgr.check_canonical());
 }
 
 // --------------------------------------------------------------------------
@@ -179,9 +140,9 @@ TEST(SharedGcSoakTest, QuiescentPointIsSafeAnywhere) {
 // --------------------------------------------------------------------------
 
 TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
-  // Low collection threshold for every manager elaborated below, so the
-  // sharded estimation epochs actually collect concurrently (the
-  // exclusive-mode threshold adapts back up on its own).
+  // Low collection threshold for every manager elaborated below, so
+  // exclusive collections run often, including the first one after each
+  // sharded estimation epoch (the threshold adapts back up on its own).
   ::setenv("COVEST_GC_THRESHOLD", "32", 1);
   struct RestoreEnv {
     ~RestoreEnv() { ::unsetenv("COVEST_GC_THRESHOLD"); }
@@ -204,7 +165,6 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
   constexpr int kRounds = 12;
   constexpr int kPerRound = 10;
   std::size_t total = 0;
-  std::size_t max_shared_gc_runs = 0;
   std::vector<std::size_t> plateau;  ///< live_nodes after each window.
   for (int round = 0; round < kRounds; ++round) {
     std::vector<JobHandle> handles;
@@ -226,19 +186,15 @@ TEST(GcSoakTest, HundredWarmRequestsWithMaintenanceStayByteIdentical) {
           << model_label(which[i]) << ": " << r.error;
       EXPECT_EQ(canonical(r), expected[which[i]])
           << "round " << round << " " << model_label(which[i]);
-      max_shared_gc_runs = std::max(
-          max_shared_gc_runs, r.estimate.shared_gc_runs);
       ++total;
     }
     (void)window;
     plateau.push_back(cache->stats().live_nodes);
   }
   EXPECT_GE(total, 100u);
-  // Some job's manager really collected inside a shared epoch.
-  EXPECT_GT(max_shared_gc_runs, 0u);
 
   // The plateau: once every model has been seen (round 3 on), parked
-  // live nodes stop growing — maintenance plus in-epoch reclamation
+  // live nodes stop growing — maintenance plus exclusive collections
   // keep the resident set flat across another ~100 requests.
   ASSERT_GE(plateau.size(), 4u);
   const std::size_t baseline = plateau[2];
